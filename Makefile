@@ -46,8 +46,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short seeded-corpus fuzz passes over the fault plane and the spot-market
-# simulator. Bounded by FUZZTIME so verify stays a fixed-cost gate; raise it
+# Short seeded-corpus fuzz passes over the fault plane, the spot-market
+# simulator, the event engine, the facility and the cmd/inspect readers.
+# Bounded by FUZZTIME so verify stays a fixed-cost gate; raise it
 # (make fuzz FUZZTIME=5m) for a real fuzzing session.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFaultPlan -fuzztime $(FUZZTIME) ./internal/fault
@@ -57,6 +58,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWorkloadGen -fuzztime $(FUZZTIME) ./internal/facility
 	$(GO) test -run '^$$' -fuzz FuzzFacility -fuzztime $(FUZZTIME) ./internal/facility
 	$(GO) test -run '^$$' -fuzz FuzzParseSWF -fuzztime $(FUZZTIME) ./internal/facility
+	$(GO) test -run '^$$' -fuzz FuzzDecodeManifest -fuzztime $(FUZZTIME) ./internal/obs
+	$(GO) test -run '^$$' -fuzz FuzzParseChromeTrace -fuzztime $(FUZZTIME) ./internal/obs
 
 # Full microbenchmark run: measures the perfbench suite (ns/op, B/op,
 # allocs/op), checks allocation and ns/op budgets, rewrites BENCH_PR3.json

@@ -62,10 +62,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	for _, np := range nps {
-		if !npb.ValidProcs(*bench, np) {
-			fatal(fmt.Errorf("%s does not accept np=%d", *bench, np))
-		}
+	if err := checkNPs(*bench, nps, p); err != nil {
+		fatal(err)
 	}
 	if *mode != "skeleton" && *mode != "full" {
 		fatal(fmt.Errorf("unknown mode %q", *mode))
@@ -234,6 +232,20 @@ func parseNPs(s string) ([]int, error) {
 		return nil, fmt.Errorf("empty -np list")
 	}
 	return nps, nil
+}
+
+// checkNPs rejects, before any job is scheduled, a process count the
+// kernel does not accept or the platform has no slots for.
+func checkNPs(bench string, nps []int, p *platform.Platform) error {
+	for _, np := range nps {
+		if !npb.ValidProcs(bench, np) {
+			return fmt.Errorf("%s does not accept np=%d", bench, np)
+		}
+		if slots := p.MaxRanks(); np > slots {
+			return fmt.Errorf("np=%d exceeds %s's maximum of %d ranks", np, p.Name, slots)
+		}
+	}
+	return nil
 }
 
 func openCache(dir string) *sched.Cache {

@@ -7,7 +7,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
@@ -34,8 +33,7 @@ type RunSpec struct {
 	// MemPerRank, when set, makes placement fail if nodes lack memory and
 	// is used by AutoNodes to find the smallest feasible node count.
 	MemPerRank int64
-	Seed       uint64        // jitter stream offset (repetition index)
-	Timeout    time.Duration // real-time guard; 0 = mpi default
+	Seed       uint64 // jitter stream offset (repetition index)
 	// Runtime selects the mpi execution engine (mpi.Goroutine, the
 	// default, or mpi.PDES). Both produce byte-identical results; the
 	// PDES engine is the one that scales to 10k+ virtual ranks.
@@ -119,9 +117,6 @@ func Execute(spec RunSpec, fn func(c *mpi.Comm) error) (*Outcome, error) {
 	}
 	if spec.EngineWorkers > 0 {
 		opts = append(opts, mpi.WithEngineWorkers(spec.EngineWorkers))
-	}
-	if spec.Timeout > 0 {
-		opts = append(opts, mpi.WithTimeout(spec.Timeout))
 	}
 	if spec.Faults != nil {
 		opts = append(opts, mpi.WithFaults(spec.Faults))

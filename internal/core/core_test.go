@@ -2,8 +2,8 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/cpumodel"
@@ -59,17 +59,15 @@ func TestExecuteMemoryDrivenNodes(t *testing.T) {
 	}
 }
 
-func TestExecuteTimeout(t *testing.T) {
-	_, err := Execute(RunSpec{
-		Platform: platform.Vayu(), NP: 2, Timeout: 150 * time.Millisecond,
-	}, func(c *mpi.Comm) error {
+func TestExecuteDeadlockDiagnosed(t *testing.T) {
+	_, err := Execute(RunSpec{Platform: platform.Vayu(), NP: 2}, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
 			c.RecvN(1, 0) // never sent
 		}
 		return nil
 	})
-	if err == nil {
-		t.Fatal("deadlock should hit the timeout")
+	if err == nil || !strings.Contains(err.Error(), "rank 0 waiting on (src=1, tag=0)") {
+		t.Fatalf("got %v, want the deadlock diagnosis", err)
 	}
 }
 

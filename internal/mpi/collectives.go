@@ -150,16 +150,6 @@ func (c *Comm) Bcast(root int, data []float64) {
 	})
 }
 
-// BcastInts broadcasts an int slice from root.
-func (c *Comm) BcastInts(root int, data []int) {
-	c.checkRank(root, "root")
-	c.collective("Bcast", 8*len(data), func() {
-		c.binomialBcast(root,
-			func(dst int) { c.SendInts(dst, tagBcast, data) },
-			func(src int) { c.RecvInts(src, tagBcast, data) })
-	})
-}
-
 // BcastN broadcasts a phantom payload of n bytes from root.
 func (c *Comm) BcastN(root, n int) {
 	c.checkRank(root, "root")
@@ -289,26 +279,6 @@ func (c *Comm) Allgather(send, recv []float64) {
 			inBlk := (c.rank - s - 1 + p) % p
 			c.Send(right, tagAllgat, recv[outBlk*n:(outBlk+1)*n])
 			c.Recv(left, tagAllgat, recv[inBlk*n:(inBlk+1)*n])
-		}
-	})
-}
-
-// AllgatherInts gathers int blocks.
-func (c *Comm) AllgatherInts(send, recv []int) {
-	p := c.Size()
-	n := len(send)
-	if len(recv) != p*n {
-		panic(fmt.Sprintf("mpi: AllgatherInts recv length %d, want %d", len(recv), p*n))
-	}
-	c.collective("Allgather", 8*n, func() {
-		copy(recv[c.rank*n:(c.rank+1)*n], send)
-		right := (c.rank + 1) % p
-		left := (c.rank - 1 + p) % p
-		for s := 0; s < p-1; s++ {
-			outBlk := (c.rank - s + p) % p
-			inBlk := (c.rank - s - 1 + p) % p
-			c.SendInts(right, tagAllgat, recv[outBlk*n:(outBlk+1)*n])
-			c.RecvInts(left, tagAllgat, recv[inBlk*n:(inBlk+1)*n])
 		}
 	})
 }

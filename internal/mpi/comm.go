@@ -95,20 +95,8 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks in the communicator.
 func (c *Comm) Size() int { return len(c.group) }
 
-// WorldRank returns this rank's index in the world communicator.
-func (c *Comm) WorldRank() int { return c.st.wrank }
-
 // Clock returns the rank's current virtual time in seconds.
 func (c *Comm) Clock() float64 { return c.st.clock }
-
-// CommTime returns the accumulated virtual seconds spent in communication.
-func (c *Comm) CommTime() float64 { return c.st.commTime }
-
-// ComputeTime returns the accumulated virtual seconds charged as computation.
-func (c *Comm) ComputeTime() float64 { return c.st.computeTime }
-
-// IOTime returns the accumulated virtual seconds charged as file I/O.
-func (c *Comm) IOTime() float64 { return c.st.ioTime }
 
 // RNG returns this rank's deterministic random stream (for workload
 // generation that must differ by rank but stay reproducible).
@@ -234,6 +222,13 @@ func (c *Comm) checkRank(r int, what string) {
 	}
 }
 
+// checkTag panics on a negative tag: matching is exact, never a wildcard.
+func checkTag(tag int) {
+	if tag < 0 {
+		panic(fmt.Sprintf("mpi: negative tag %d", tag))
+	}
+}
+
 // sendMsg injects the (caller-filled) envelope m towards communicator
 // rank dst and returns the call start time. Ownership of m transfers to
 // the receiving rank at put; the caller must not touch it afterwards.
@@ -242,9 +237,7 @@ func (c *Comm) sendMsg(dst, tag int, m *message, bytes int) float64 {
 	if bytes < 0 {
 		panic("mpi: negative message size")
 	}
-	if tag < 0 {
-		panic(fmt.Sprintf("mpi: negative tag %d", tag))
-	}
+	checkTag(tag)
 	c.maybeDie()
 	start := c.st.clock
 	w := c.st.world
@@ -309,16 +302,14 @@ func (c *Comm) sendF64(dst, tag int, data []float64) float64 {
 	return c.sendMsg(dst, tag, m, 8*len(data))
 }
 
-// recvRaw blocks for a matching message, advances the clock to its arrival
-// and returns it. src may be AnySource.
+// recvRaw blocks for the message from src with tag, advances the clock
+// to its arrival and returns it. Matching is always exact: a negative
+// source or tag is a misuse panic, not a wildcard.
 func (c *Comm) recvRaw(src, tag int) *message {
 	c.maybeDie()
-	wsrc := AnySource
-	if src != AnySource {
-		c.checkRank(src, "source")
-		wsrc = c.group[src]
-	}
-	m := c.st.world.inboxes[c.st.wrank].match(c.st.world, c.ctx, wsrc, tag, c.st.clock)
+	c.checkRank(src, "source")
+	checkTag(tag)
+	m := c.st.world.inboxes[c.st.wrank].match(c.st.world, c.ctx, c.group[src], tag, c.st.clock)
 	link := c.st.world.link(m.src, c.st.wrank)
 	st := c.st
 	met := &st.world.met

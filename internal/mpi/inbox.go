@@ -2,15 +2,6 @@ package mpi
 
 import "sync"
 
-// AnySource and AnyTag are wildcard values for Recv matching. Receives
-// using wildcards are matched in physical arrival order, which is not
-// deterministic across runs; all workloads in this repository use explicit
-// sources and tags, keeping every experiment bit-reproducible.
-const (
-	AnySource = -1
-	AnyTag    = -1
-)
-
 // message is an in-flight point-to-point message. Envelopes (and the
 // payload capacity they carry) are recycled through msgPool; see pool.go
 // for the ownership rules.
@@ -25,7 +16,6 @@ type message struct {
 
 	bytes  int     // modelled payload size
 	arrive float64 // virtual arrival time at the receiver
-	seq    uint64  // per-inbox arrival stamp, orders wildcard matching
 	fresh  bool    // set by the pool's allocator, cleared on lease: marks a pool miss
 }
 
@@ -74,11 +64,10 @@ func (q *bucket) pop() *message {
 	return m
 }
 
-// inbox is one rank's unexpected-message queue with source/tag matching,
-// bucketed by exact (ctx,src,tag) so the common explicit receive is a map
-// lookup plus a FIFO pop instead of a linear scan. Each inbox has exactly
-// one consumer (its rank's goroutine), so at most one waiter with one
-// match predicate exists at any time and a put can wake it with Signal.
+// inbox is one rank's unexpected-message queue, bucketed by exact
+// (ctx,src,tag) so every receive is a map lookup plus a FIFO pop. Each
+// inbox has exactly one consumer (its rank's goroutine), so at most one
+// receive waits on it at any time and a put can wake it with Signal.
 type inbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -86,21 +75,16 @@ type inbox struct {
 	buckets map[bucketKey]*bucket
 	slab    []bucket // arena for bucket structs, amortises short-lived worlds
 	npend   int      // queued, unmatched messages across all buckets
-	seq     uint64   // next arrival stamp
-	aborted bool     // set by World.abortAll once a failed world is quiescent
+	aborted bool     // set by World.abortAll once the world is quiescent
 
-	// The blocked waiter's predicate, valid while waiting is true. A put
-	// whose message satisfies it signals the consumer; one that cannot
-	// match leaves it asleep. scored additionally records that the waiter
-	// was counted as blocked on the fault plane's quiescence scoreboard
-	// (fault-free worlds skip that world-global bookkeeping); clearing it
-	// credits the waiter back to "running" atomically with delivery, so
-	// the world can never look quiescent while a satisfiable receive is
-	// pending.
-	waiting    bool
-	scored     bool
-	wctx       uint64
-	wsrc, wtag int
+	// waiting is the bucket the blocked receive waits on (nil: none); a
+	// waiting consumer is counted as blocked on the world's quiescence
+	// scoreboard. A put into that bucket clears it, crediting the waiter
+	// back to "running" atomically with delivery, so the world can never
+	// look quiescent while a satisfiable receive is pending. wkey is the
+	// waiter's (ctx, src, tag), read only by the deadlock diagnosis.
+	waiting *bucket
+	wkey    bucketKey
 }
 
 func newInbox() *inbox {
@@ -144,50 +128,41 @@ func releaseInboxes(boxes []*inbox) {
 func (b *inbox) reset() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.npend != 0 || b.aborted || b.waiting {
-		return false
+	return b.npend == 0 && !b.aborted && b.waiting == nil
+}
+
+// queue returns the FIFO for k, creating it on first use. Caller holds
+// b.mu.
+func (b *inbox) queue(k bucketKey) *bucket {
+	if q := b.buckets[k]; q != nil {
+		return q
 	}
-	b.seq = 0
-	b.scored = false
-	b.wctx, b.wsrc, b.wtag = 0, 0, 0
-	return true
-}
-
-func matches(m *message, ctx uint64, src, tag int) bool {
-	return m.ctx == ctx && (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag)
-}
-
-// put enqueues a message and wakes the consumer only when the message can
-// satisfy its pending receive. Messages from one sender are enqueued in
-// program order, giving per-(src,tag) FIFO matching.
-func (b *inbox) put(w *World, m *message) {
-	b.mu.Lock()
-	m.seq = b.seq
-	b.seq++
 	if b.buckets == nil {
 		//lint:allow reprolint/allochot once per inbox lease; the map is retained by the inbox pool
 		b.buckets = make(map[bucketKey]*bucket, 8)
 	}
-	k := bucketKey{ctx: m.ctx, src: m.src, tag: m.tag}
-	q := b.buckets[k]
-	if q == nil {
-		if len(b.slab) == 0 {
-			//lint:allow reprolint/allochot slab refill amortises bucket allocation 16x (churn budget covers it)
-			b.slab = make([]bucket, 16)
-		}
-		q = &b.slab[0]
-		b.slab = b.slab[1:]
-		b.buckets[k] = q
+	if len(b.slab) == 0 {
+		//lint:allow reprolint/allochot slab refill amortises bucket allocation 16x (churn budget covers it)
+		b.slab = make([]bucket, 16)
 	}
+	q := &b.slab[0]
+	b.slab = b.slab[1:]
+	b.buckets[k] = q
+	return q
+}
+
+// put enqueues a message and wakes the consumer when it waits on the
+// message's bucket. Messages from one sender are enqueued in program
+// order, giving per-(src,tag) FIFO matching.
+func (b *inbox) put(w *World, m *message) {
+	b.mu.Lock()
+	q := b.queue(bucketKey{ctx: m.ctx, src: m.src, tag: m.tag})
 	q.push(m)
 	b.npend++
 	w.met.inboxDepth.Observe(int64(b.npend))
-	if b.waiting && matches(m, b.wctx, b.wsrc, b.wtag) {
-		b.waiting = false
-		if b.scored {
-			b.scored = false
-			w.exitBlocked()
-		}
+	if b.waiting == q {
+		b.waiting = nil
+		w.exitBlocked()
 		if eng := w.engine(); eng != nil {
 			// The consumer is (or is about to be) parked in the engine;
 			// schedule its resumption at the message's arrival time. Lock
@@ -200,52 +175,15 @@ func (b *inbox) put(w *World, m *message) {
 	b.mu.Unlock()
 }
 
-// take removes and returns the oldest message matching (ctx, src, tag),
-// or nil. Exact receives hit their bucket directly; wildcard receives
-// scan the (small) bucket map for the lowest arrival stamp, preserving
-// the physical-arrival-order semantics of the pre-bucket queue. Caller
-// holds b.mu.
-func (b *inbox) take(ctx uint64, src, tag int) *message {
-	if src != AnySource && tag != AnyTag {
-		q := b.buckets[bucketKey{ctx: ctx, src: src, tag: tag}]
-		if q == nil || q.empty() {
-			return nil
-		}
-		b.npend--
-		return q.pop()
-	}
-	var best *bucket
-	for k, q := range b.buckets {
-		if q.empty() || k.ctx != ctx {
-			continue
-		}
-		if src != AnySource && k.src != src {
-			continue
-		}
-		if tag != AnyTag && k.tag != tag {
-			continue
-		}
-		if best == nil || q.msgs[q.head].seq < best.msgs[best.head].seq {
-			best = q
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	b.npend--
-	return best.pop()
-}
-
 // match blocks until a message matching (ctx, src, tag) is available,
-// removes it from its bucket and returns it. src/tag may be
-// AnySource/AnyTag; the communicator context always matches exactly.
-// now is the receiver's virtual clock at the blocking point; the PDES
-// engine parks the rank at that time (the goroutine runtime ignores it).
+// removes it from its bucket and returns it. now is the receiver's
+// virtual clock at the blocking point; the PDES engine parks the rank at
+// that time (the goroutine runtime ignores it).
 //
-// After a rank failure, a receive that can still be satisfied proceeds
-// normally; match panics with abortPanic only once the world is
-// quiescent (every surviving rank blocked on a receive no delivered or
-// future message can satisfy, so none will ever complete). This
+// A receive that can still be satisfied always proceeds; match panics
+// with abortPanic only once the world is quiescent (every live rank
+// blocked on a receive no delivered or future message can satisfy, so
+// none will ever complete) and World.quiesce has aborted it. This
 // "maximal progress" rule keeps post-failure state — in particular which
 // checkpoints committed — deterministic: a rank is never aborted while
 // any peer that could still send to it is runnable, so the set of
@@ -253,35 +191,27 @@ func (b *inbox) take(ctx uint64, src, tag int) *message {
 // program is a Kahn process network).
 func (b *inbox) match(w *World, ctx uint64, src, tag int, now float64) *message {
 	eng := w.engine()
+	k := bucketKey{ctx: ctx, src: src, tag: tag}
 	b.mu.Lock()
+	q := b.queue(k)
 	for {
-		if m := b.take(ctx, src, tag); m != nil {
-			b.waiting = false
-			if b.scored {
-				// Defensive: a found match implies put already credited
-				// this waiter, but keep the counts paired.
-				b.scored = false
-				w.exitBlocked()
-			}
+		if !q.empty() {
+			// Any put into q has already cleared waiting.
+			b.npend--
+			m := q.pop()
 			b.mu.Unlock()
 			return m
 		}
 		if b.aborted {
-			b.waiting = false
-			if b.scored {
-				b.scored = false
+			if b.waiting != nil {
+				b.waiting = nil
 				w.exitBlocked()
 			}
 			b.mu.Unlock()
 			panic(abortPanic{})
 		}
-		b.waiting = true
-		b.wctx, b.wsrc, b.wtag = ctx, src, tag
-		// Without a fault plan no rank can die, so the world can never
-		// need the quiescence test — skip the scoreboard bookkeeping
-		// (a world-global mutex) on the fault-free fast path.
-		if w.faults != nil && !b.scored {
-			b.scored = true
+		if b.waiting == nil {
+			b.waiting, b.wkey = q, k
 			w.enterBlocked()
 		}
 		if eng != nil {
@@ -299,7 +229,7 @@ func (b *inbox) match(w *World, ctx uint64, src, tag int, now float64) *message 
 }
 
 // pending returns the number of queued, unmatched messages: a counter
-// maintained by put/take, so it stays O(1) over any number of buckets.
+// maintained by put/match, so it stays O(1) over any number of buckets.
 func (b *inbox) pending() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -2,10 +2,10 @@ package mpi
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/platform"
@@ -560,23 +560,81 @@ func TestMisusePanicsBecomeErrors(t *testing.T) {
 	}
 }
 
-func TestDeadlockTimesOut(t *testing.T) {
-	pl, err := cluster.Place(platform.Vayu(), cluster.Spec{NP: 2})
-	if err != nil {
-		t.Fatal(err)
+// TestDeadlockDiagnosed checks that the goroutine runtime reports a
+// deadlock the moment the world quiesces, naming every blocked rank and
+// the (src, tag) it waits on. The cases pin down which event completes
+// the quiescence: a rank blocking (a receive-receive cycle) or a rank
+// stopping (rank 1 exits only once rank 0 is seen blocked).
+func TestDeadlockDiagnosed(t *testing.T) {
+	cases := []struct {
+		name string
+		fn   func(w *World, c *Comm)
+		want string
+	}{
+		{"last-blocks", func(w *World, c *Comm) {
+			if c.Rank() == 0 {
+				c.Recv(1, 7, make([]float64, 1))
+			} else {
+				c.RecvN(0, 3)
+			}
+		}, " 2 rank(s) blocked with no runnable peer: rank 0 waiting on (src=1, tag=7) rank 1 waiting on (src=0, tag=3)"},
+		{"last-stops", func(w *World, c *Comm) {
+			if c.Rank() == 0 {
+				c.RecvN(1, 9)
+				return
+			}
+			for b := w.inboxes[0]; ; runtime.Gosched() {
+				b.mu.Lock()
+				blocked := b.waiting != nil
+				b.mu.Unlock()
+				if blocked {
+					return
+				}
+			}
+		}, " 1 rank(s) blocked with no runnable peer: rank 0 waiting on (src=1, tag=9)"},
 	}
-	w, err := NewWorld(platform.Vayu(), pl, WithTimeout(200*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pl, err := cluster.Place(platform.Vayu(), cluster.Spec{NP: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := NewWorld(platform.Vayu(), pl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = w.Run(func(c *Comm) error {
+				tc.fn(w, c)
+				return nil
+			})
+			if want := "mpi: deadlock:" + tc.want; err == nil || err.Error() != want {
+				t.Fatalf("got %v, want %q", err, want)
+			}
+		})
 	}
-	_, err = w.Run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.Recv(1, 0, make([]float64, 1)) // never sent
-		}
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "deadlock") {
-		t.Fatalf("expected deadlock timeout, got %v", err)
+}
+
+// TestRecvRejectsWildcards checks that a negative source or tag — the
+// wildcard spelling of other MPIs — is a misuse panic, not a match-any,
+// for blocking and nonblocking receives alike.
+func TestRecvRejectsWildcards(t *testing.T) {
+	cases := map[string]func(c *Comm){
+		"Recv(-1, 0)":   func(c *Comm) { c.Recv(-1, 0, make([]float64, 1)) },
+		"Recv(0, -1)":   func(c *Comm) { c.Recv(0, -1, make([]float64, 1)) },
+		"IrecvN(-1, 0)": func(c *Comm) { c.Wait(c.IrecvN(-1, 0)) },
+	}
+	for name, recv := range cases {
+		t.Run(name, func(t *testing.T) {
+			_, err := RunOn(platform.Vayu(), 2, func(c *Comm) error {
+				if c.Rank() == 1 {
+					recv(c)
+				}
+				return nil
+			})
+			if err == nil || !strings.Contains(err.Error(), "rank 1") {
+				t.Fatalf("got %v, want a rank 1 misuse error", err)
+			}
+		})
 	}
 }
 

@@ -231,16 +231,16 @@ func TestPooledUnpooledEquivalence(t *testing.T) {
 }
 
 // TestPendingCounterConcurrent hammers one inbox with concurrent
-// producers and a consumer draining via exact and wildcard matches, and
-// checks the O(1) maintained pending counter against a brute-force
-// recount of every bucket throughout.
+// producers and a consumer draining via exact matches, and checks the
+// O(1) maintained pending counter against a brute-force recount of every
+// bucket throughout.
 func TestPendingCounterConcurrent(t *testing.T) {
 	const (
 		producers   = 4
 		perProducer = 300 // divisible by 3: each tag 0..2 gets exactly 100
 		perTag      = perProducer / 3
 	)
-	w := &World{} // faults == nil: no quiescence scoreboard in play
+	w := &World{} // no ranks: the scoreboard never reads as quiescent
 	b := newInbox()
 
 	check := func() {
@@ -267,11 +267,9 @@ func TestPendingCounterConcurrent(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		// Exact matches first (tags 0 and 1 of every producer, quotas the
-		// producers are guaranteed to eventually satisfy), then a wildcard
-		// drain of the tag-2 remainder. Wildcards come last because a
-		// wildcard can match anything: taken earlier it could consume a
-		// message an exact quota still needs and deadlock the consumer.
+		// Tags 0 and 1 of every producer interleaved, then each
+		// producer's tag-2 remainder, so the consumer both blocks on
+		// empty buckets and drains ones that filled while it was busy.
 		n := 0
 		for round := 0; round < perTag; round++ {
 			for pr := 0; pr < producers; pr++ {
@@ -283,14 +281,16 @@ func TestPendingCounterConcurrent(t *testing.T) {
 				}
 			}
 		}
-		for i := 0; i < producers*perTag; i++ {
-			m := b.match(w, 1, AnySource, AnyTag, 0)
-			if m.tag != 2 {
-				t.Errorf("wildcard drain got tag %d, want 2", m.tag)
-			}
-			m.release()
-			if n++; n%37 == 0 {
-				check()
+		for pr := 0; pr < producers; pr++ {
+			for i := 0; i < perTag; i++ {
+				m := b.match(w, 1, pr, 2, 0)
+				if m.src != pr || m.tag != 2 {
+					t.Errorf("drain of (src=%d, tag=2) got (src=%d, tag=%d)", pr, m.src, m.tag)
+				}
+				m.release()
+				if n++; n%37 == 0 {
+					check()
+				}
 			}
 		}
 	}()
@@ -303,10 +303,9 @@ func TestPendingCounterConcurrent(t *testing.T) {
 	}
 }
 
-// TestPendingCounterFIFO checks the counter across the put/take paths of
-// a deterministic sequence: exact buckets must pop in per-(src,tag) FIFO
-// order and wildcards in arrival order, with the counter exact at every
-// step.
+// TestPendingCounterFIFO checks the counter across the put/match paths
+// of a deterministic sequence: each bucket must pop in per-(src,tag)
+// FIFO order, with the counter exact at every step.
 func TestPendingCounterFIFO(t *testing.T) {
 	w := &World{}
 	b := newInbox()
@@ -326,11 +325,14 @@ func TestPendingCounterFIFO(t *testing.T) {
 		}
 		m.release()
 	}
-	// Wildcard drains the rest in physical arrival order: 1, 3, 5.
+	if counter, brute := b.pendingDebug(); counter != 3 || brute != 3 {
+		t.Fatalf("after draining src 0: counter=%d brute=%d", counter, brute)
+	}
+	// Exact match on src 1 drains the rest in arrival order: 1, 3, 5.
 	for _, want := range []int{1, 3, 5} {
-		m := b.match(w, 1, AnySource, AnyTag, 0)
+		m := b.match(w, 1, 1, 5, 0)
 		if m.bytes != want {
-			t.Fatalf("wildcard match got bytes %d, want %d", m.bytes, want)
+			t.Fatalf("exact match got bytes %d, want %d", m.bytes, want)
 		}
 		m.release()
 	}

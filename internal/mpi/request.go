@@ -13,8 +13,6 @@ type Request struct {
 	// receive-side fields
 	src, tag int
 	fbuf     []float64
-	ibuf     []int
-	cbuf     []complex128
 	phantom  bool
 	start    float64 // clock at post time
 	bytes    int     // filled on completion
@@ -40,16 +38,6 @@ func (c *Comm) IsendN(dst, tag, n int) *Request {
 // Irecv posts a nonblocking receive into buf. Matching happens at Wait.
 func (c *Comm) Irecv(src, tag int, buf []float64) *Request {
 	return &Request{c: c, src: src, tag: tag, fbuf: buf, start: c.st.clock}
-}
-
-// IrecvInts posts a nonblocking receive of an int payload.
-func (c *Comm) IrecvInts(src, tag int, buf []int) *Request {
-	return &Request{c: c, src: src, tag: tag, ibuf: buf, start: c.st.clock}
-}
-
-// IrecvComplex posts a nonblocking receive of a complex128 payload.
-func (c *Comm) IrecvComplex(src, tag int, buf []complex128) *Request {
-	return &Request{c: c, src: src, tag: tag, cbuf: buf, start: c.st.clock}
 }
 
 // IrecvN posts a nonblocking phantom receive.
@@ -78,10 +66,6 @@ func (c *Comm) Wait(r *Request) int {
 		}
 	case r.fbuf != nil:
 		r.n = copyFloat64(r.fbuf, m)
-	case r.ibuf != nil:
-		r.n = copyInt(r.ibuf, m)
-	case r.cbuf != nil:
-		r.n = copyComplex(r.cbuf, m)
 	default:
 		panic("mpi: receive request without a buffer")
 	}

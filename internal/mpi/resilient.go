@@ -13,10 +13,6 @@ import (
 // runtime returns when a fault plan preempts a node.
 var ErrRankFailed = errors.New("mpi: rank failed")
 
-// errPeerFailed is assigned to surviving ranks unwound by the
-// post-failure abort; World.Run reports the originating failure instead.
-var errPeerFailed = fmt.Errorf("aborted after peer failure: %w", ErrRankFailed)
-
 // RankFailedError reports a node preemption from the fault plan: the
 // first rank to hit its scheduled death, the node that was preempted
 // (taking all of its ranks with it), and the virtual time of the event.
@@ -115,10 +111,6 @@ func (c *Comm) Checkpoint(step int, bytes int64) {
 // Applications with checkpoint hooks start their timestep loop here.
 func (c *Comm) ResumeStep() int { return c.st.world.resumeStep }
 
-// Incarnation returns how many times this world has been restarted
-// (0 for the first attempt).
-func (w *World) Incarnation() int { return w.incarnation }
-
 // ResilientConfig configures RunResilient.
 type ResilientConfig struct {
 	// Plan supplies the fault schedule (nil or empty: no faults, and the
@@ -172,19 +164,17 @@ func (w *World) RunResilient(cfg ResilientConfig, fn func(c *Comm) error) (*Resu
 	start, resume := 0.0, 0
 	for inc := 0; ; inc++ {
 		iw := &World{
-			Platform:    w.Platform,
-			Placement:   w.Placement,
-			np:          w.np,
-			tracer:      w.tracer,
-			seed:        w.seed,
-			timeout:     w.timeout,
-			runtime:     w.runtime,
-			engWorkers:  w.engWorkers,
-			met:         w.met,
-			resil:       rs,
-			incStart:    start,
-			resumeStep:  resume,
-			incarnation: inc,
+			Platform:   w.Platform,
+			Placement:  w.Placement,
+			np:         w.np,
+			tracer:     w.tracer,
+			seed:       w.seed,
+			runtime:    w.runtime,
+			engWorkers: w.engWorkers,
+			met:        w.met,
+			resil:      rs,
+			incStart:   start,
+			resumeStep: resume,
 		}
 		if !cfg.Plan.Empty() {
 			iw.faults = cfg.Plan

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 
 	"repro/internal/pdes"
 )
@@ -22,14 +21,13 @@ const (
 	// Goroutine runs one OS-scheduled goroutine per rank, with receives
 	// blocking on condition variables. Simple and well-tested, but every
 	// rank occupies a goroutine stack and the OS scheduler decides the
-	// interleaving, which caps practical world sizes and leaves deadlock
-	// detection to a wall-clock watchdog.
+	// interleaving, which caps practical world sizes.
 	Goroutine Runtime = iota
 	// PDES runs ranks as coroutines parked and resumed by a conservative
 	// discrete-event engine (package pdes): at most a bounded number of
-	// ranks execute concurrently, resumption follows a deterministic
-	// virtual-time event queue, and a world with every rank blocked is
-	// detected instantly instead of by timeout.
+	// ranks execute concurrently and resumption follows a deterministic
+	// virtual-time event queue. Like the goroutine runtime, it diagnoses
+	// a world with every live rank blocked the moment it quiesces.
 	PDES
 )
 
@@ -79,7 +77,7 @@ func (w *World) startEngine() *pdes.Engine {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	eng := pdes.New(w.np, workers)
-	eng.OnStall(func(parked []int) { w.onStall(parked) })
+	eng.OnStall(func([]int) { w.quiesce() })
 	w.eng.Store(eng)
 	return eng
 }
@@ -89,53 +87,4 @@ func (w *World) startEngine() *pdes.Engine {
 func (w *World) engine() *pdes.Engine {
 	e, _ := w.eng.Load().(*pdes.Engine)
 	return e
-}
-
-// onStall handles the PDES engine's stall notification: every live rank
-// is parked on a receive that no delivered or future message can satisfy.
-// Under a fault plan this is the quiescence point — the scoreboard's
-// "maximal progress" rule — and the world aborts with the recorded rank
-// failure. Without one it is a genuine deadlock in the rank program; the
-// goroutine runtime would sit on it until the wall-clock watchdog fires,
-// the engine reports it immediately with each parked rank's wait
-// predicate.
-func (w *World) onStall(parked []int) {
-	w.sb.mu.Lock()
-	failed := w.sb.failed
-	w.sb.mu.Unlock()
-	if !failed {
-		var b strings.Builder
-		fmt.Fprintf(&b, "mpi: deadlock: %d rank(s) blocked with no runnable peer:", len(parked))
-		for i, r := range parked {
-			if i == 4 && len(parked) > 5 {
-				fmt.Fprintf(&b, " ... (%d more)", len(parked)-i)
-				break
-			}
-			bx := w.inboxes[r]
-			bx.mu.Lock()
-			src, tag := bx.wsrc, bx.wtag
-			bx.mu.Unlock()
-			fmt.Fprintf(&b, " rank %d waiting on (src=%d, tag=%d)", r, src, tag)
-		}
-		w.dl.mu.Lock()
-		if w.dl.err == nil {
-			w.dl.err = fmt.Errorf("%s", b.String())
-		}
-		w.dl.mu.Unlock()
-	}
-	w.abortAll()
-}
-
-// deadlock carries the PDES engine's deadlock diagnosis from the stall
-// handler to Run's result path.
-type deadlock struct {
-	mu  sync.Mutex
-	err error
-}
-
-// deadlockErr returns the recorded deadlock diagnosis, if any.
-func (w *World) deadlockErr() error {
-	w.dl.mu.Lock()
-	defer w.dl.mu.Unlock()
-	return w.dl.err
 }

@@ -18,10 +18,11 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
@@ -70,32 +71,35 @@ type World struct {
 	inboxes []*inbox
 	tracer  Tracer
 	seed    uint64
-	timeout time.Duration
 
 	runtime    Runtime      // execution engine (Goroutine or PDES)
 	engWorkers int          // PDES concurrency bound; <= 0 = GOMAXPROCS
 	eng        atomic.Value // *pdes.Engine for the Run in flight (PDES only)
-	dl         deadlock     // engine-detected deadlock diagnosis
 
 	met worldMetrics // observability handles; zero value = metering off
 
-	faults      *fault.Plan // nil = no fault injection
-	incStart    float64     // virtual time at which this incarnation's clocks start
-	resumeStep  int         // application step to resume from (0 = fresh start)
-	incarnation int         // restart count of this incarnation
-	resil       *resilState // checkpoint store shared across incarnations
-	sb          scoreboard  // rank liveness, for deterministic post-failure abort
+	faults     *fault.Plan // nil = no fault injection
+	incStart   float64     // virtual time at which this incarnation's clocks start
+	resumeStep int         // application step to resume from (0 = fresh start)
+	resil      *resilState // checkpoint store shared across incarnations
+	sb         scoreboard  // rank liveness: quiescence, failure and deadlock
 }
 
-// scoreboard tracks how many ranks can still make progress. After a rank
-// failure the world is aborted only once every surviving rank is blocked
-// in a receive (quiescent): at that point no message can ever arrive, so
-// the set of operations each rank completed is the unique maximal one —
-// which is what makes checkpoint state deterministic despite the
-// real-time races between goroutines.
+// scoreboard tracks how many ranks can still make progress. The world is
+// quiescent once every live rank is blocked in a receive: no message can
+// ever arrive, so no rank will ever move again. On either engine that is
+// the one point at which a run that cannot finish is stopped — as the
+// fault abort after a rank failure, or as a deadlock diagnosis otherwise.
+// Stopping only there makes the set of operations each rank completed
+// the unique maximal one, which is what keeps checkpoint state
+// deterministic despite the real-time races between goroutines.
 type scoreboard struct {
+	running atomic.Int64 // live ranks not blocked in a receive
+	live    atomic.Int64 // ranks whose goroutine has not stopped
+
+	// mu guards the failure record and serialises quiesce against Run's
+	// result path, so no abort is still in flight once Run returns.
 	mu       sync.Mutex
-	running  int
 	failed   bool
 	failRank int
 	failNode int
@@ -103,38 +107,72 @@ type scoreboard struct {
 }
 
 // enterBlocked marks a rank as blocked in a receive; called with the
-// rank's inbox lock held (lock order: inbox.mu, then scoreboard.mu).
+// rank's inbox lock held.
 func (w *World) enterBlocked() {
-	w.sb.mu.Lock()
-	w.sb.running--
-	quiesce := w.sb.failed && w.sb.running == 0
-	w.sb.mu.Unlock()
-	if quiesce {
-		// abortAll takes inbox locks, which may include the one held by
-		// this caller; run it from a clean goroutine.
-		//lint:allow reprolint/allochot failure quiesce only; a healthy hot path never reaches it
-		go w.abortAll()
+	if w.sb.running.Add(-1) == 0 {
+		// quiesce takes inbox locks, including the one held by this
+		// caller; run it from a clean goroutine.
+		//lint:allow reprolint/allochot quiescence only: once per deadlocked or failed world
+		go w.quiesce()
 	}
 }
 
 // exitBlocked marks a rank runnable again after its receive matched (or
 // before it unwinds from an abort).
-func (w *World) exitBlocked() {
-	w.sb.mu.Lock()
-	w.sb.running++
-	w.sb.mu.Unlock()
-}
+func (w *World) exitBlocked() { w.sb.running.Add(1) }
 
 // rankStopped records that a rank's goroutine finished (normally, by
 // dying, or by unwinding from an abort).
 func (w *World) rankStopped() {
-	w.sb.mu.Lock()
-	w.sb.running--
-	quiesce := w.sb.failed && w.sb.running == 0
-	w.sb.mu.Unlock()
-	if quiesce {
-		go w.abortAll()
+	w.sb.live.Add(-1)
+	if w.sb.running.Add(-1) == 0 {
+		w.quiesce()
 	}
+}
+
+// quiesce aborts a quiescent world, reached through the scoreboard on
+// either engine and through the PDES engine's stall hook: every blocked
+// rank unwinds, and Run reports the rank failure that caused the
+// quiescence or, without one, diagnoses the deadlock. A world that is
+// not (or no longer) quiescent, or whose ranks have all stopped, is left
+// alone, so repeated or late calls are harmless.
+func (w *World) quiesce() {
+	w.sb.mu.Lock()
+	defer w.sb.mu.Unlock()
+	if w.sb.running.Load() == 0 && w.sb.live.Load() > 0 {
+		w.abortAll()
+	}
+}
+
+// errAborted is assigned to the blocked ranks a quiescent world unwinds;
+// World.Run reports the rank failure or the deadlock instead.
+var errAborted = errors.New("aborted in a quiescent world")
+
+// deadlockError names the ranks that a fault-free quiescence aborted
+// and the (src, tag) each was blocked on, in rank order (the first five
+// when more were blocked); nil when none was aborted. Called after every
+// rank has stopped.
+func (w *World) deadlockError(errs []error) error {
+	var blocked []int
+	for r, err := range errs {
+		if err == errAborted {
+			blocked = append(blocked, r)
+		}
+	}
+	if len(blocked) == 0 {
+		return nil
+	}
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "mpi: deadlock: %d rank(s) blocked with no runnable peer:", len(blocked))
+	for i, r := range blocked {
+		if i == 4 && len(blocked) > 5 {
+			fmt.Fprintf(&sb, " ... (%d more)", len(blocked)-i)
+			break
+		}
+		k := w.inboxes[r].wkey
+		fmt.Fprintf(&sb, " rank %d waiting on (src=%d, tag=%d)", r, k.src, k.tag)
+	}
+	return errors.New(sb.String())
 }
 
 // markFailed records a rank death. When several ranks die in one
@@ -180,10 +218,6 @@ func WithTracer(t Tracer) Option { return func(w *World) { w.tracer = t } }
 // the same experiment (the paper runs each benchmark 5 times).
 func WithSeed(s uint64) Option { return func(w *World) { w.seed = s } }
 
-// WithTimeout bounds the real (wall-clock) execution time of Run; a run
-// exceeding it returns an error. The default is 5 minutes.
-func WithTimeout(d time.Duration) Option { return func(w *World) { w.timeout = d } }
-
 // WithFaults injects a deterministic fault plan: per-rank compute
 // throttles, inter-node link degradation windows and node preemptions.
 // A preempted node's ranks die at their scheduled virtual time and Run
@@ -209,7 +243,6 @@ func NewWorld(p *platform.Platform, pl *cluster.Placement, opts ...Option) (*Wor
 		Platform:  p,
 		Placement: pl,
 		np:        pl.NP,
-		timeout:   5 * time.Minute,
 	}
 	for _, o := range opts {
 		o(w)
@@ -263,18 +296,14 @@ func (w *World) Run(fn func(c *Comm) error) (*Result, error) {
 	for r := 0; r < w.np; r++ {
 		initComm(&comms[r], &states[r], w, r, group)
 	}
-	w.dl.mu.Lock()
-	w.dl.err = nil
-	w.dl.mu.Unlock()
+	w.sb.running.Store(int64(w.np))
+	w.sb.live.Store(int64(w.np))
 	if w.runtime == PDES {
 		w.startEngine()
 	}
 	eng := w.engine()
 
 	errs := make([]error, w.np)
-	w.sb.mu.Lock()
-	w.sb.running = w.np
-	w.sb.mu.Unlock()
 	var wg sync.WaitGroup
 	wg.Add(w.np)
 	for r := 0; r < w.np; r++ {
@@ -293,7 +322,7 @@ func (w *World) Run(fn func(c *Comm) error) (*Result, error) {
 						Rank: rank, Node: w.Placement.NodeOf[rank], At: comms[rank].st.clock,
 					}
 				case abortPanic:
-					errs[rank] = errPeerFailed
+					errs[rank] = errAborted
 				default:
 					errs[rank] = fmt.Errorf("mpi: rank %d panicked: %v", rank, p)
 				}
@@ -307,15 +336,7 @@ func (w *World) Run(fn func(c *Comm) error) (*Result, error) {
 	if eng != nil {
 		eng.Go()
 	}
-
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	//lint:allow reprolint/detwall real-time watchdog: fires only on deadlock, never contributes to virtual time
-	case <-time.After(w.timeout):
-		return nil, fmt.Errorf("mpi: run exceeded real-time limit %v (likely deadlock)", w.timeout)
-	}
+	wg.Wait()
 
 	w.sb.mu.Lock()
 	failed, failRank, failNode, failAt := w.sb.failed, w.sb.failRank, w.sb.failNode, w.sb.failAt
@@ -323,8 +344,8 @@ func (w *World) Run(fn func(c *Comm) error) (*Result, error) {
 	if failed {
 		return nil, &RankFailedError{Rank: failRank, Node: failNode, At: failAt}
 	}
-	if dlerr := w.deadlockErr(); dlerr != nil {
-		return nil, dlerr
+	if err := w.deadlockError(errs); err != nil {
+		return nil, err
 	}
 	for r, err := range errs {
 		if err != nil {

@@ -21,6 +21,12 @@ type chromeEvent struct {
 	Args map[string]string `json:"args,omitempty"`
 }
 
+// maxTraceRanks bounds the rank slots a parsed trace may span, summed
+// over its runs. Timelines are indexed by rank, so without a bound one
+// event naming a huge tid would allocate a huge timeline; 1<<20 is 64x
+// the largest world the simulator runs.
+const maxTraceRanks = 1 << 20
+
 // Run is one recorded run inside a Chrome trace file: merged multi-run
 // traces distinguish runs by pid.
 type Run struct {
@@ -43,6 +49,9 @@ func ParseChromeTrace(r io.Reader) ([]Run, error) {
 	for _, ce := range doc.TraceEvents {
 		if ce.Ph != "X" {
 			continue
+		}
+		if ce.TID < 0 || ce.TID >= maxTraceRanks {
+			return nil, fmt.Errorf("obs: event %q: rank (tid) %d outside [0, %d)", ce.Name, ce.TID, maxTraceRanks)
 		}
 		e := Event{
 			Rank:   ce.TID,
@@ -81,15 +90,20 @@ func ParseChromeTrace(r io.Reader) ([]Run, error) {
 		}
 		ranks[ce.TID] = append(ranks[ce.TID], e)
 	}
+	np := make(map[int]int, len(byPID))
+	slots := 0
+	for pid, ranks := range byPID {
+		for r := range ranks {
+			np[pid] = max(np[pid], r+1)
+		}
+		slots += np[pid]
+	}
+	if slots > maxTraceRanks {
+		return nil, fmt.Errorf("obs: trace spans %d rank slots across %d runs, limit %d", slots, len(byPID), maxTraceRanks)
+	}
 	runs := make([]Run, 0, len(byPID))
 	for pid, ranks := range byPID {
-		maxRank := 0
-		for r := range ranks {
-			if r > maxRank {
-				maxRank = r
-			}
-		}
-		tl := make(Timeline, maxRank+1)
+		tl := make(Timeline, np[pid])
 		for r, evs := range ranks {
 			tl[r] = evs
 		}

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/apps/metum"
 	"repro/internal/core"
@@ -318,23 +318,29 @@ func TestParityFacility(t *testing.T) {
 	}
 }
 
-// TestPDESDeadlockDiagnosis checks the engine's structural win over the
-// oracle: a deadlocked world is detected the moment it quiesces — with
-// the blocked ranks' wait predicates in the error — instead of timing
-// out against the wall-clock watchdog.
-func TestPDESDeadlockDiagnosis(t *testing.T) {
-	_, err := mpi.RunOn(platform.Vayu(), 4, func(c *mpi.Comm) error {
-		if c.Rank() == 0 {
-			c.RecvN(3, 99) // rank 3 never sends: deadlock once all others exit
+// TestDeadlockDiagnosis checks that every engine detects a deadlocked
+// world the moment it quiesces and reports the same diagnosis — the
+// blocked ranks and the (src, tag) each waits on — with no wall-clock
+// watchdog involved.
+func TestDeadlockDiagnosis(t *testing.T) {
+	const want = "mpi: deadlock: 2 rank(s) blocked with no runnable peer:" +
+		" rank 0 waiting on (src=3, tag=99) rank 2 waiting on (src=1, tag=5)"
+	for _, eng := range engines {
+		start := time.Now()
+		_, err := mpi.RunOn(platform.Vayu(), 4, func(c *mpi.Comm) error {
+			switch c.Rank() {
+			case 0:
+				c.RecvN(3, 99) // rank 3 never sends: deadlock once 1 and 3 exit
+			case 2:
+				c.Recv(1, 5, make([]float64, 1))
+			}
+			return nil
+		}, mpi.WithRuntime(eng.rt), mpi.WithEngineWorkers(eng.workers))
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Fatalf("%s: diagnosis took %v", eng.name, elapsed)
 		}
-		return nil
-	}, mpi.WithRuntime(mpi.PDES))
-	if err == nil {
-		t.Fatal("deadlocked world returned no error")
-	}
-	for _, want := range []string{"deadlock", "rank 0", "tag=99"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("diagnosis %q missing %q", err, want)
+		if err == nil || err.Error() != want {
+			t.Fatalf("%s: got %v, want %q", eng.name, err, want)
 		}
 	}
 }
