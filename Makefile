@@ -3,7 +3,7 @@
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race fmt vet lint lint-bench lint-sarif fuzz bench bench-report bench-smoke obs-smoke pdes-smoke facility-smoke verify results clean
+.PHONY: all build test race fmt vet lint lint-bench lint-sarif fuzz bench bench-report bench-smoke obs-smoke pdes-smoke facility-smoke verify results loc clean
 
 all: build
 
@@ -47,7 +47,8 @@ race:
 	$(GO) test -race ./...
 
 # Short seeded-corpus fuzz passes over the fault plane, the spot-market
-# simulator, the event engine, the facility and the cmd/inspect readers.
+# simulator, the event engine, the facility, the cmd/inspect readers and
+# the bench-history reader.
 # Bounded by FUZZTIME so verify stays a fixed-cost gate; raise it
 # (make fuzz FUZZTIME=5m) for a real fuzzing session.
 fuzz:
@@ -60,6 +61,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseSWF -fuzztime $(FUZZTIME) ./internal/facility
 	$(GO) test -run '^$$' -fuzz FuzzDecodeManifest -fuzztime $(FUZZTIME) ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzParseChromeTrace -fuzztime $(FUZZTIME) ./internal/obs
+	$(GO) test -run '^$$' -fuzz FuzzReadHistory -fuzztime $(FUZZTIME) ./internal/perfbench
 
 # Full microbenchmark run: measures the perfbench suite (ns/op, B/op,
 # allocs/op), checks allocation and ns/op budgets, rewrites BENCH_PR3.json
@@ -154,6 +156,12 @@ facility-smoke: build
 # history, not the point lint-bench just appended.
 verify: lint build test race fuzz bench-smoke bench-report lint-bench obs-smoke pdes-smoke facility-smoke
 	@echo "verify: all gates passed"
+
+# Production Go line count: every non-test .go file outside layerbench/
+# (the benchmark harness) and testdata/ (analyzer fixtures).
+loc:
+	@find . -path './.*' -prune -o -path ./layerbench -prune -o -name testdata -prune -o \
+		-name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 # Regenerate the committed seed artefacts (full sweep, seed 0).
 results: build

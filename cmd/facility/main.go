@@ -8,16 +8,14 @@
 //
 //	facility [-jobs 2000] [-tenants 200] [-slots 256] [-seed 0]
 //	         [-broker] [-spot] [-bid 0.60] [-trace jobs.txt]
-//	         [-swf trace.swf] [-sched heap|sort] [-stream]
+//	         [-swf trace.swf] [-stream]
 //	         [-emit-trace jobs.txt] [-manifest run.json]
 //
 // -swf replays a Standard Workload Format archive trace; records wider
 // than the HPC partition are skipped (and counted). -stream switches to
 // the streaming run path — per-job outcomes are folded into reservoir
 // statistics as they complete instead of being collected, which is how
-// million-job traces fit in bounded memory. -sched selects the
-// incremental heap scheduler (default) or the sort-per-pass oracle it
-// is validated against; both produce bit-identical schedules.
+// million-job traces fit in bounded memory.
 package main
 
 import (
@@ -43,22 +41,11 @@ func main() {
 	bid := flag.Float64("bid", 0.60, "spot bid in $/hour")
 	trace := flag.String("trace", "", "replay jobs from a trace file instead of generating")
 	swf := flag.String("swf", "", "replay jobs from a Standard Workload Format trace")
-	sched := flag.String("sched", "heap", "scheduler implementation: heap (incremental) or sort (oracle)")
 	stream := flag.Bool("stream", false, "stream outcomes into reservoir statistics (bounded memory)")
 	emit := flag.String("emit-trace", "", "write the workload as a replayable trace to this file and exit")
 	manifest := flag.String("manifest", "", "write a run-manifest JSON to this file")
 	flag.Parse()
 	start := time.Now()
-
-	var kind facility.SchedKind
-	switch *sched {
-	case "heap":
-		kind = facility.SchedHeap
-	case "sort":
-		kind = facility.SchedSort
-	default:
-		fatal(fmt.Errorf("unknown -sched %q (want heap or sort)", *sched))
-	}
 
 	var wl []facility.Job
 	var err error
@@ -110,7 +97,6 @@ func main() {
 		Slots:     [facility.NumPools]int{*slots, *slots / 2, *slots / 2},
 		Backfill:  true,
 		Fairshare: true,
-		Sched:     kind,
 		Prices:    [facility.NumPools]float64{0, 0.34, 0.68},
 		Meter:     meter,
 		Metrics:   reg,
@@ -186,7 +172,6 @@ func main() {
 			"slots":  strconv.Itoa(*slots),
 			"broker": strconv.FormatBool(cfg.Broker != nil),
 			"spot":   strconv.FormatBool(cfg.Spot != nil),
-			"sched":  cfg.Sched.String(),
 			"stream": strconv.FormatBool(*stream),
 			"digest": digest,
 		},

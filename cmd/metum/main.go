@@ -45,6 +45,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if err := checkNP(*np, p); err != nil {
+		fatal(err)
+	}
 	fp, err := fault.ParseParams(*faults)
 	if err != nil {
 		fatal(err)
@@ -129,6 +132,18 @@ func main() {
 	if err := obs.WriteManifest(*manifest, m); err != nil {
 		fatal(err)
 	}
+}
+
+// checkNP rejects, before the run, a process count below one or above
+// the platform's slots, in the wording of cmd/npb's checkNPs.
+func checkNP(np int, p *platform.Platform) error {
+	if np < 1 {
+		return fmt.Errorf("metum does not accept np=%d", np)
+	}
+	if slots := p.MaxRanks(); np > slots {
+		return fmt.Errorf("np=%d exceeds %s's maximum of %d ranks", np, p.Name, slots)
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -86,19 +86,6 @@ func (f *Facts) Has(key string) bool {
 	return ok
 }
 
-// Keys returns every analyzed function key in sorted order.
-func (f *Facts) Keys() []string {
-	if f == nil {
-		return nil
-	}
-	keys := make([]string, 0, len(f.m))
-	for k := range f.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // MarshalJSON serializes the fact table deterministically (sorted keys)
 // — the vettool export format written to VetxOutput.
 func (f *Facts) MarshalJSON() ([]byte, error) {

@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // ModulePath is the import-path prefix of this repository's packages.
@@ -23,20 +22,6 @@ func calleeObj(info *types.Info, call *ast.CallExpr) *types.Func {
 		return f
 	}
 	return nil
-}
-
-// isPkgFunc reports whether call invokes a package-level function named
-// name from the package with import path pkgPath.
-func isPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	f := calleeObj(info, call)
-	if f == nil || f.Pkg() == nil {
-		return false
-	}
-	if f.Pkg().Path() != pkgPath || f.Name() != name {
-		return false
-	}
-	sig, ok := f.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
 }
 
 // methodInfo returns the receiver's named-type package path, type name
@@ -81,22 +66,6 @@ func isNamedType(t types.Type, pkgPath, typeName string) bool {
 		n.Obj().Pkg().Path() == pkgPath && n.Obj().Name() == typeName
 }
 
-// mentions walks expr and reports whether pred holds for any node.
-func mentions(expr ast.Node, pred func(ast.Node) bool) bool {
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if n == nil || found {
-			return false
-		}
-		if pred(n) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
 // funcNameAt returns the name of the innermost FuncDecl whose body spans
 // the node n in file f: "Name" for functions, "Recv.Name" for methods.
 func funcNameAt(f *ast.File, n ast.Node) string {
@@ -128,11 +97,4 @@ func recvTypeName(e ast.Expr) string {
 		return recvTypeName(t.X)
 	}
 	return ""
-}
-
-// hasInternalPrefix reports whether the package path is one of this
-// module's internal packages (fixture stubs included).
-func hasInternalPrefix(pkgPath, sub string) bool {
-	prefix := ModulePath + "/internal/" + sub
-	return pkgPath == prefix || strings.HasPrefix(pkgPath, prefix+"/")
 }

@@ -69,8 +69,8 @@ func usageAfter(iv []interval, t float64) int {
 // obviously-correct implementation of FCFS list scheduling, and the
 // facility cross-validation test requires that an event-driven facility
 // run with backfill, fairshare, broker and spot all disabled reproduces
-// these stats bit-for-bit (facility.OracleStats folds outcomes back into
-// QueueStats using this function's exact accumulation order).
+// these stats bit-for-bit (the test's OracleStats folds outcomes back
+// into QueueStats using this function's exact accumulation order).
 func SimulateQueue(jobs []Job, hpcSlots int, policy BurstPolicy) (QueueStats, error) {
 	if hpcSlots <= 0 {
 		return QueueStats{}, fmt.Errorf("arrive: need positive cluster capacity")

@@ -169,28 +169,6 @@ func executeResilient(spec RunSpec, w *mpi.World, fn func(c *mpi.Comm) error) (*
 	return &Outcome{Result: res, Profile: pr, Resilience: stats}, nil
 }
 
-// Best runs the spec `reps` times with distinct seeds and returns the
-// outcome with the minimum wall time — the paper's measurement protocol
-// ("each run was repeated 5 times, with the minimum time being used").
-func Best(spec RunSpec, reps int, fn func(c *mpi.Comm) error) (*Outcome, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	var best *Outcome
-	for r := 0; r < reps; r++ {
-		s := spec
-		s.Seed = spec.Seed + uint64(r)*0x9e3779b9
-		out, err := Execute(s, fn)
-		if err != nil {
-			return nil, fmt.Errorf("core: repetition %d: %w", r, err)
-		}
-		if best == nil || out.Time() < best.Time() {
-			best = out
-		}
-	}
-	return best, nil
-}
-
 // Speedup converts a time series indexed by process count into speedups
 // relative to the time at baseNP. Missing baseNP returns an error.
 func Speedup(times map[int]float64, baseNP int) (map[int]float64, error) {

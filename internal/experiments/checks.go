@@ -266,17 +266,12 @@ func DecodeChecks(files map[string][]byte) ([]Check, error) {
 	return checks, nil
 }
 
-// RunChecks evaluates the reproduction's headline claims against the
-// paper and returns one result per claim, in report order. It is the
-// programmatic core of `cmd/repro -check`; the claim groups execute
-// concurrently on the scheduler's default worker pool.
-func RunChecks() ([]Check, error) {
-	return RunChecksScheduled(sched.Options{})
-}
-
-// RunChecksScheduled is RunChecks with explicit scheduler options
-// (worker-pool size, result cache). Claim order in the returned slice is
-// deterministic regardless of scheduling.
+// RunChecksScheduled evaluates the reproduction's headline claims
+// against the paper and returns one result per claim, in report order.
+// It is the programmatic core of `cmd/repro -check`; the claim groups
+// execute on the scheduler with the given options (worker-pool size,
+// result cache). Claim order in the returned slice is deterministic
+// regardless of scheduling.
 func RunChecksScheduled(opt sched.Options) ([]Check, error) {
 	results, err := sched.Run(CheckJobs(), opt)
 	if err != nil {

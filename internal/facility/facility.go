@@ -13,12 +13,11 @@
 // parallelism, under either mpi runtime, and byte-compared against the
 // small-N oracle arrive.SimulateQueue by the cross-validation tests.
 //
-// Two scheduler implementations share the event loop. SchedHeap (the
-// default) keeps incremental structures — a lazily re-keyed pending
-// heap, a maintained release profile for EASY reservations, and O(1)
-// wait-estimate aggregates — so a million-job run stays near-linear.
-// SchedSort is the original sort-per-pass implementation, retained as
-// the oracle the parity suite compares against bit for bit.
+// The scheduler keeps incremental structures — a lazily re-keyed
+// pending heap, a maintained release profile for EASY reservations, and
+// O(1) wait-estimate aggregates — so a million-job run stays
+// near-linear. The parity tests check its schedules against the
+// original sort-per-pass scheduler, which lives in the test files.
 package facility
 
 import (
@@ -136,31 +135,6 @@ func (o Outcome) BoundedSlowdown(tau float64) float64 {
 	return s
 }
 
-// SchedKind selects the scheduler implementation.
-type SchedKind uint8
-
-const (
-	// SchedHeap is the incremental scheduler: a lazily re-keyed pending
-	// heap, a maintained release profile and O(1) wait estimates. The
-	// default, and the path the E15 million-job artefact runs on.
-	SchedHeap SchedKind = iota
-	// SchedSort is the original sort-per-pass scheduler, kept (without
-	// build tags) as the oracle the parity suite compares SchedHeap
-	// against bit for bit.
-	SchedSort
-)
-
-// String implements fmt.Stringer.
-func (k SchedKind) String() string {
-	switch k {
-	case SchedHeap:
-		return "heap"
-	case SchedSort:
-		return "sort"
-	}
-	return fmt.Sprintf("sched(%d)", int(k))
-}
-
 // Config parameterises one facility.
 type Config struct {
 	// Slots is each pool's schedulable slot capacity. Slots[PoolHPC]
@@ -203,9 +177,6 @@ type Config struct {
 	// Tau is the bounded-slowdown threshold in seconds (0 = 10).
 	Tau float64
 
-	// Sched selects the scheduler implementation (default SchedHeap).
-	Sched SchedKind
-
 	// Metrics, when set, receives facility counters (submissions, starts,
 	// kills, backfills, interruptions) in the obs registry.
 	Metrics *obs.Registry
@@ -228,9 +199,6 @@ func (c *Config) Validate() error {
 	}
 	if c.BackfillDepth < 0 || c.FairshareHalfLife < 0 || c.Tau < 0 {
 		return fmt.Errorf("facility: negative knob in %+v", c)
-	}
-	if c.Sched > SchedSort {
-		return fmt.Errorf("facility: unknown scheduler kind %d", c.Sched)
 	}
 	tenants := make([]string, 0, len(c.TenantWeights))
 	for t := range c.TenantWeights {
@@ -335,23 +303,30 @@ type poolState struct {
 	slots int
 	free  int
 
-	// Sort-oracle path: pending jobs in priority order (see sortQueue)
-	// and the running set the per-pass reservation sort walks.
-	queue   []*jobRec
-	running []*jobRec
-
-	// Heap path: the pending heap and (HPC only) the maintained
-	// timeline of planned releases reservations walk.
+	// The pending heap and (HPC only) the maintained timeline of
+	// planned releases reservations walk.
 	pend    pendHeap
 	profile releaseProfile
 
-	// Maintained aggregates shared by both paths so estWait is O(1):
-	// queued planning-bound work, and the running set's Σnp / Σnp·end.
+	// Maintained aggregates so estWait is O(1): queued planning-bound
+	// work, and the running set's Σnp / Σnp·end.
 	qWork float64
 	npRun int
 	npEnd float64
 
 	wakeAt float64 // pending kindWake event time (0 = none)
+}
+
+// scheduler owns the pools' pending and running sets. The event loop
+// drives it through these four calls only: push adds an arrival to p's
+// pending set, pending counts that set, pass runs one scheduling pass
+// (starting jobs via Facility.start), and finished retires a completed
+// job from p's running set.
+type scheduler interface {
+	push(p *poolState, rec *jobRec)
+	pending(p *poolState) int
+	pass(p *poolState)
+	finished(p *poolState, rec *jobRec)
 }
 
 // metrics bundles the facility's obs instruments.
@@ -389,6 +364,9 @@ type Facility struct {
 	pools [NumPools]*poolState
 	share *shareTracker
 	met   metrics
+	// sched is the heap scheduler New installs; the parity tests swap in
+	// the sort-per-pass oracle.
+	sched scheduler
 
 	queue pdes.Queue
 	// jobs is the run's input; arrival events carry Seq < len(jobs) and
@@ -418,6 +396,7 @@ func New(cfg Config) (*Facility, error) {
 		f.pools[p] = &poolState{id: p, slots: cfg.Slots[p], free: cfg.Slots[p]}
 	}
 	f.met = newMetrics(cfg.Metrics)
+	f.sched = heapScheduler{f}
 	return f, nil
 }
 
@@ -547,24 +526,7 @@ func (f *Facility) pushLater(at float64, kind int, rec *jobRec) {
 func (f *Facility) enqueue(p *poolState, rec *jobRec) {
 	rec.qwork = float64(rec.job.NP) * f.planDur(rec) * f.factor(rec.job.Class, p.id)
 	p.qWork += rec.qwork
-	if f.cfg.Sched == SchedSort {
-		p.queue = append(p.queue, rec)
-		return
-	}
-	if f.cfg.Fairshare {
-		rec.acct = f.share.acct(rec.job.Tenant)
-		p.pend.push(heapEntry{key: rec.acct.key(f.share.half), gen: rec.acct.gen, rec: rec})
-		return
-	}
-	p.pend.push(heapEntry{rec: rec})
-}
-
-// pendingLen is the pool's pending-job count on the active path.
-func (f *Facility) pendingLen(p *poolState) int {
-	if f.cfg.Sched == SchedSort {
-		return len(p.queue)
-	}
-	return p.pend.len()
+	f.sched.push(p, rec)
 }
 
 // complete finalises one running job: frees its slots, charges the
@@ -575,16 +537,7 @@ func (f *Facility) complete(rec *jobRec) {
 	p.free += rec.job.NP
 	p.npRun -= rec.job.NP
 	p.npEnd -= float64(rec.job.NP) * rec.end
-	if f.cfg.Sched == SchedSort {
-		for i, r := range p.running {
-			if r == rec {
-				p.running = append(p.running[:i], p.running[i+1:]...)
-				break
-			}
-		}
-	} else if p.id == PoolHPC {
-		p.profile.remove(f.releaseAt(rec), rec.seq)
-	}
+	f.sched.finished(p, rec)
 	f.share.charge(rec.job.Tenant, f.clock, rec.charge*float64(rec.job.NP))
 	if rec.state == StateKilled {
 		f.met.killed.Inc()
@@ -612,10 +565,6 @@ func (f *Facility) start(p *poolState, rec *jobRec) {
 	rec.start = f.clock
 	p.free -= rec.job.NP
 	p.qWork -= rec.qwork
-	if f.cfg.Sched == SchedSort {
-		//lint:allow reprolint/allochot legacy SchedSort bookkeeping; the heap scheduler never takes this branch
-		p.running = append(p.running, rec)
-	}
 	f.met.started.Inc()
 
 	factor := f.factor(rec.job.Class, p.id)
@@ -647,9 +596,6 @@ func (f *Facility) start(p *poolState, rec *jobRec) {
 	}
 	p.npRun += rec.job.NP
 	p.npEnd += float64(rec.job.NP) * rec.end
-	if f.cfg.Sched != SchedSort && p.id == PoolHPC {
-		p.profile.insert(f.releaseAt(rec), rec.job.NP, rec.seq)
-	}
 	f.pushLater(rec.end, kindComplete, rec)
 }
 
@@ -691,7 +637,7 @@ func (f *Facility) available(p *poolState) bool {
 // jobs while they fit, then (HPC only) an EASY backfill pass behind the
 // blocked head's reservation.
 func (f *Facility) schedule(p *poolState) {
-	if f.pendingLen(p) == 0 {
+	if f.sched.pending(p) == 0 {
 		return
 	}
 	if !f.available(p) {
@@ -703,11 +649,7 @@ func (f *Facility) schedule(p *poolState) {
 		}
 		return
 	}
-	if f.cfg.Sched == SchedSort {
-		f.scheduleSort(p)
-		return
-	}
-	f.scheduleHeap(p)
+	f.sched.pass(p)
 }
 
 // reserve records the head's EASY reservation: set on first block,

@@ -3,6 +3,7 @@ package facility
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/arrive"
@@ -99,4 +100,34 @@ func TestOracleCrossValidationSimultaneousSubmits(t *testing.T) {
 	if res.Outcomes[1].Wait != 0 || res.Outcomes[2].Wait != 0 {
 		t.Fatalf("same-time reuse failed: waits %g, %g", res.Outcomes[1].Wait, res.Outcomes[2].Wait)
 	}
+}
+
+// OracleStats folds facility outcomes back into arrive.QueueStats using
+// the oracle's exact accumulation order — stable-sort by submit time,
+// sum waits and slowdowns in that order, divide once at the end — so the
+// cross-validation tests can require bit-for-bit equality with
+// arrive.SimulateQueue (the strict-FCFS small-N oracle) on a facility
+// run with backfill, fairshare, broker and spot all disabled.
+func OracleStats(outcomes []Outcome) arrive.QueueStats {
+	ordered := append([]Outcome(nil), outcomes...)
+	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Submit < ordered[j].Submit })
+	var stats arrive.QueueStats
+	for _, o := range ordered {
+		stats.AvgWait += o.Wait
+		if o.Wait > stats.MaxWait {
+			stats.MaxWait = o.Wait
+		}
+		stats.AvgSlowdown += (o.Wait + o.Runtime) / o.Runtime
+		if o.End > stats.Makespan {
+			stats.Makespan = o.End
+		}
+		stats.Jobs++
+	}
+	if n := stats.Jobs - stats.Burst; n > 0 {
+		stats.AvgWait /= float64(n)
+	}
+	if stats.Jobs > 0 {
+		stats.AvgSlowdown /= float64(stats.Jobs)
+	}
+	return stats
 }

@@ -2,8 +2,8 @@ package facility
 
 import "sort"
 
-// The incremental scheduler (SchedHeap, the default): the structures
-// that make a 10^6-job run near-linear.
+// The incremental scheduler, the facility's only production
+// scheduler: the structures that make a 10^6-job run near-linear.
 //
 //   - Pending jobs live in a binary min-heap ordered by (priority key,
 //     submit, seq). The key is the tenant's time-independent log-domain
@@ -16,15 +16,48 @@ import "sort"
 //   - The HPC pool maintains a release profile: the running jobs'
 //     planning-bound release times kept in (at, seq) order, updated by
 //     binary-search insert/remove on start/finish. EASY reservations walk
-//     it with the identical accumulation loop the sort oracle runs over
-//     its freshly-sorted copy, so the two paths compute bit-equal
-//     (reservation, spare) pairs.
-//   - estWait reads the maintained aggregates both paths share
-//     (facility.go), so routing is O(1) instead of O(queue + running).
+//     it with the identical accumulation loop the sort-per-pass oracle
+//     (a test file) runs over its freshly-sorted copy, so the two
+//     compute bit-equal (reservation, spare) pairs.
+//   - estWait reads the maintained aggregates (facility.go), so routing
+//     is O(1) instead of O(queue + running).
 //
 // At saturation p.free is 0 and a backfill pass pops nothing — the
 // whole pass is O(1) — which is why queue depth stops being the
 // bottleneck.
+
+// heapScheduler is the Facility's scheduler: the pending heap and the
+// HPC release profile kept on each poolState.
+type heapScheduler struct{ f *Facility }
+
+func (h heapScheduler) push(p *poolState, rec *jobRec) {
+	f := h.f
+	if f.cfg.Fairshare {
+		rec.acct = f.share.acct(rec.job.Tenant)
+		p.pend.push(heapEntry{key: rec.acct.key(f.share.half), gen: rec.acct.gen, rec: rec})
+		return
+	}
+	p.pend.push(heapEntry{rec: rec})
+}
+
+func (h heapScheduler) pending(p *poolState) int { return p.pend.len() }
+
+func (h heapScheduler) pass(p *poolState) { h.f.scheduleHeap(p) }
+
+func (h heapScheduler) finished(p *poolState, rec *jobRec) {
+	if p.id == PoolHPC {
+		p.profile.remove(h.f.releaseAt(rec), rec.seq)
+	}
+}
+
+// startHeap starts rec and, on the HPC partition, enters its planned
+// release into the profile reservations walk.
+func (f *Facility) startHeap(p *poolState, rec *jobRec) {
+	f.start(p, rec)
+	if p.id == PoolHPC {
+		p.profile.insert(f.releaseAt(rec), rec.job.NP, rec.seq)
+	}
+}
 
 // heapEntry is one pending job with its cached priority key and the
 // charge generation the key was computed at (both zero without
@@ -122,7 +155,7 @@ func (f *Facility) scheduleHeap(p *poolState) {
 		if head.rec.job.NP > p.free {
 			break
 		}
-		f.start(p, head.rec)
+		f.startHeap(p, head.rec)
 	}
 	if p.id != PoolHPC || !f.cfg.Backfill {
 		p.pend.push(head)
@@ -151,7 +184,7 @@ func (f *Facility) backfillHeap(p *poolState, head heapEntry) {
 			if f.clock+f.planDur(rec) > resv {
 				spare -= rec.job.NP
 			}
-			f.start(p, rec)
+			f.startHeap(p, rec)
 			f.met.backfilled.Inc()
 			continue
 		}
@@ -166,7 +199,7 @@ func (f *Facility) backfillHeap(p *poolState, head heapEntry) {
 
 // release is one running job's planned slot release: its planning-bound
 // release time, width, and seq (the (at, seq) pair is unique and makes
-// the profile's order total — the same tie-break reservationSort uses).
+// the profile's order total).
 type release struct {
 	at  float64
 	np  int
@@ -176,8 +209,8 @@ type release struct {
 // releaseProfile is the maintained free-slot timeline: running jobs'
 // planned releases in ascending (at, seq) order. Insert and remove are
 // binary search plus a copy — the profile is bounded by the pool's slot
-// count, so the moves are small and cache-friendly — replacing the sort
-// oracle's allocate-and-sort on every reservation.
+// count, so the moves are small and cache-friendly — replacing an
+// allocate-and-sort of the running set on every reservation.
 type releaseProfile struct {
 	rel []release
 }
@@ -209,9 +242,9 @@ func (t *releaseProfile) remove(at float64, seq int) {
 	t.rel = append(t.rel[:i], t.rel[i+1:]...)
 }
 
-// reservation walks the profile exactly like the oracle walks its
-// sorted copy: accumulate releases until the head fits, returning the
-// guarantee time and the slots spare once the head starts.
+// reservation walks the profile exactly like the sort-per-pass oracle
+// walks its sorted copy: accumulate releases until the head fits,
+// returning the guarantee time and the slots spare once the head starts.
 func (t *releaseProfile) reservation(clock float64, free, need int) (float64, int) {
 	resv := clock
 	for _, e := range t.rel {

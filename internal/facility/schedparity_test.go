@@ -7,22 +7,25 @@ import (
 	"testing/quick"
 )
 
-// The scheduler-parity battery: SchedHeap (incremental structures) must
-// reproduce SchedSort (the retained sort-per-pass oracle) bit for bit —
-// same outcomes, same digests, same completion order, same event count
-// — across every knob combination. The log-domain priority keys, the
+// The scheduler-parity battery: the heap scheduler (incremental
+// structures) must reproduce the sort-per-pass oracle
+// (sched_sort_test.go) bit for bit — same outcomes, same digests, same
+// completion order, same event count — across every knob combination. The log-domain priority keys, the
 // lazy re-keying and the maintained release profile are all exact
 // reformulations of the oracle's comparisons, so equality is required,
 // not approximate.
 
-// runSched runs jobs under the given scheduler kind, returning the full
-// result and the emission (completion) order.
-func runSched(t *testing.T, cfg Config, kind SchedKind, jobs []Job) (*Result, []int) {
+// runSched runs jobs on a facility built from cfg, returning the full
+// result and the emission (completion) order. install, when non-nil,
+// swaps the scheduler before the run (useSortScheduler for the oracle).
+func runSched(t *testing.T, cfg Config, install func(*Facility), jobs []Job) (*Result, []int) {
 	t.Helper()
-	cfg.Sched = kind
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if install != nil {
+		install(f)
 	}
 	res := &Result{Outcomes: make([]Outcome, len(jobs))}
 	var order []int
@@ -70,8 +73,8 @@ func TestSchedParityAllKnobs(t *testing.T) {
 	jobs := genJobs(t, 7, 400, 30, 32)
 	for knobs := uint8(0); knobs < 16; knobs++ {
 		cfg := parityConfig(knobs)
-		heapRes, heapOrder := runSched(t, cfg, SchedHeap, jobs)
-		sortRes, sortOrder := runSched(t, cfg, SchedSort, jobs)
+		heapRes, heapOrder := runSched(t, cfg, nil, jobs)
+		sortRes, sortOrder := runSched(t, cfg, useSortScheduler, jobs)
 		if !reflect.DeepEqual(heapRes.Outcomes, sortRes.Outcomes) {
 			for i := range heapRes.Outcomes {
 				if heapRes.Outcomes[i] != sortRes.Outcomes[i] {
@@ -101,8 +104,8 @@ func TestQuickSchedulerParity(t *testing.T) {
 	prop := func(seed uint64, knobs uint8, jn uint8) bool {
 		jobs := genJobs(t, seed, 30+int(jn)%120, 1+int(jn)%16, 32)
 		cfg := parityConfig(knobs % 16)
-		heapRes, _ := runSched(t, cfg, SchedHeap, jobs)
-		sortRes, _ := runSched(t, cfg, SchedSort, jobs)
+		heapRes, _ := runSched(t, cfg, nil, jobs)
+		sortRes, _ := runSched(t, cfg, useSortScheduler, jobs)
 		if Digest(heapRes) != Digest(sortRes) {
 			for i := range heapRes.Outcomes {
 				if heapRes.Outcomes[i] != sortRes.Outcomes[i] {
@@ -120,6 +123,35 @@ func TestQuickSchedulerParity(t *testing.T) {
 	}
 }
 
+// TestSchedParityCalibratedBroker replays a brokered, backfilled,
+// fairshare workload whose routing factors come from CalibrateBroker's
+// real MPI reference runs (not a static test broker): both schedulers
+// must emit the same outcomes in the same order with the same digest.
+func TestSchedParityCalibratedBroker(t *testing.T) {
+	jobs, err := Generate(WorkloadSpec{Seed: 7, Jobs: 120, Tenants: 15, Slots: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	broker, err := CalibrateBroker(CalibrateOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Slots:    [NumPools]int{64, 32, 32},
+		Backfill: true, Fairshare: true,
+		Broker: broker,
+		Prices: [NumPools]float64{0, 0.34, 0.68},
+	}
+	heapRes, heapOrder := runSched(t, cfg, nil, jobs)
+	sortRes, sortOrder := runSched(t, cfg, useSortScheduler, jobs)
+	if !reflect.DeepEqual(heapRes, sortRes) || !reflect.DeepEqual(heapOrder, sortOrder) {
+		t.Fatal("heap scheduler diverged from the sort oracle under a calibrated broker")
+	}
+	if Digest(heapRes) != Digest(sortRes) {
+		t.Fatal("digest diverged under a calibrated broker")
+	}
+}
+
 // TestRunMatchesRunStream: Run is defined as RunStream collecting into
 // a slice; the two entry points must agree outcome for outcome.
 func TestRunMatchesRunStream(t *testing.T) {
@@ -133,7 +165,7 @@ func TestRunMatchesRunStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, _ := runSched(t, cfg, SchedHeap, jobs)
+	streamed, _ := runSched(t, cfg, nil, jobs)
 	if !reflect.DeepEqual(res, streamed) {
 		t.Fatal("Run and RunStream disagreed")
 	}
@@ -147,7 +179,7 @@ func TestRunMatchesRunStream(t *testing.T) {
 func TestStreamSummaryMatchesSummarize(t *testing.T) {
 	jobs := genJobs(t, 13, 500, 25, 32)
 	cfg := parityConfig(15)
-	res, _ := runSched(t, cfg, SchedHeap, jobs)
+	res, _ := runSched(t, cfg, nil, jobs)
 	exact := Summarize(res.Outcomes, 0)
 
 	ss := NewStreamSummary(0, 99)
@@ -158,7 +190,6 @@ func TestStreamSummaryMatchesSummarize(t *testing.T) {
 		t.Fatalf("submission-order stream diverged:\n got %+v\nwant %+v", got, exact)
 	}
 
-	cfg.Sched = SchedHeap
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -320,25 +320,6 @@ func (pr *Profile) RegionCommPercent(name string) float64 {
 	return 100 * comm.Sum() / total
 }
 
-// RegionCalls aggregates call statistics across ranks for one region.
-func (pr *Profile) RegionCalls(name string) map[string]CallStats {
-	out := map[string]CallStats{}
-	for _, m := range pr.regions {
-		rs, ok := m[name]
-		if !ok {
-			continue
-		}
-		for cn, cs := range rs.Calls {
-			agg := out[cn]
-			agg.Count += cs.Count
-			agg.Time += cs.Time
-			agg.Bytes += cs.Bytes
-			out[cn] = agg
-		}
-	}
-	return out
-}
-
 // SizeHistogram returns (bucketUpperBytes, count) pairs sorted by size.
 func (pr *Profile) SizeHistogram() ([]int, []int) {
 	buckets := make([]int, 0, len(pr.sizeHist))

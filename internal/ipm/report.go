@@ -113,13 +113,3 @@ func (pr *Profile) MarshalJSON() ([]byte, error) {
 	jp.RestartOverhead = pr.RestartOverhead
 	return json.Marshal(jp)
 }
-
-// WriteJSON writes the profile as JSON.
-func (pr *Profile) WriteJSON(w io.Writer) error {
-	data, err := json.MarshalIndent(pr, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
-}

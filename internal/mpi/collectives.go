@@ -5,7 +5,7 @@ import (
 	"sort"
 )
 
-// Op is a reduction operator for Reduce/Allreduce.
+// Op is a reduction operator for Allreduce.
 type Op int
 
 // Reduction operators.
@@ -54,32 +54,6 @@ func (o Op) combine(dst, src []float64) {
 	}
 }
 
-func (o Op) combineInts(dst, src []int) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("mpi: reduction length mismatch %d vs %d", len(dst), len(src)))
-	}
-	switch o {
-	case Sum:
-		for i, v := range src {
-			dst[i] += v
-		}
-	case Max:
-		for i, v := range src {
-			if v > dst[i] {
-				dst[i] = v
-			}
-		}
-	case Min:
-		for i, v := range src {
-			if v < dst[i] {
-				dst[i] = v
-			}
-		}
-	default:
-		panic(fmt.Sprintf("mpi: unknown op %v", o))
-	}
-}
-
 // Reserved tags for collective rounds. User code and collectives never
 // interleave on one communicator from one rank, and per-(src,tag) FIFO
 // matching keeps consecutive collectives correctly paired.
@@ -88,8 +62,6 @@ const (
 	tagBcast   = 1<<20 + 1
 	tagReduce  = 1<<20 + 2
 	tagAllred  = 1<<20 + 3
-	tagGather  = 1<<20 + 4
-	tagScatter = 1<<20 + 5
 	tagAllgat  = 1<<20 + 6
 	tagAlltoal = 1<<20 + 7
 	tagSplit   = 1<<20 + 8
@@ -139,17 +111,6 @@ func (c *Comm) binomialBcast(root int, send func(dst int), recv func(src int)) {
 	}
 }
 
-// Bcast broadcasts data from root to all ranks (binomial tree). On
-// non-root ranks data is overwritten.
-func (c *Comm) Bcast(root int, data []float64) {
-	c.checkRank(root, "root")
-	c.collective("Bcast", 8*len(data), func() {
-		c.binomialBcast(root,
-			func(dst int) { c.Send(dst, tagBcast, data) },
-			func(src int) { c.Recv(src, tagBcast, data) })
-	})
-}
-
 // BcastN broadcasts a phantom payload of n bytes from root.
 func (c *Comm) BcastN(root, n int) {
 	c.checkRank(root, "root")
@@ -160,31 +121,21 @@ func (c *Comm) BcastN(root, n int) {
 	})
 }
 
-// Reduce combines data from all ranks with op into root's buffer
-// (binomial tree). Non-root buffers are used as scratch and hold partial
-// results afterwards.
-func (c *Comm) Reduce(op Op, root int, data []float64) {
-	c.checkRank(root, "root")
-	c.collective("Reduce", 8*len(data), func() {
-		c.reduceBody(op, root, data)
-	})
-}
-
-func (c *Comm) reduceBody(op Op, root int, data []float64) {
+// reduceBody combines data from all ranks with op into rank 0's buffer
+// (binomial tree). Other ranks' buffers are used as scratch and hold
+// partial results afterwards.
+func (c *Comm) reduceBody(op Op, data []float64) {
 	p := c.Size()
-	vr := (c.rank - root + p) % p
 	mask := 1
 	for mask < p {
-		if vr&mask == 0 {
-			if vr+mask < p {
+		if c.rank&mask == 0 {
+			if c.rank+mask < p {
 				// Combine straight out of the arriving message's pooled
 				// payload: no per-round scratch slice.
-				src := (vr + mask + root) % p
-				c.recvCombine(op, src, tagReduce, data)
+				c.recvCombine(op, c.rank+mask, tagReduce, data)
 			}
 		} else {
-			dst := (vr - mask + root) % p
-			c.Send(dst, tagReduce, data)
+			c.Send(c.rank-mask, tagReduce, data)
 			break
 		}
 		mask <<= 1
@@ -205,7 +156,7 @@ func (c *Comm) Allreduce(op Op, data []float64) {
 			}
 			return
 		}
-		c.reduceBody(op, 0, data)
+		c.reduceBody(op, data)
 		c.binomialBcast(0,
 			func(dst int) { c.Send(dst, tagBcast, data) },
 			func(src int) { c.Recv(src, tagBcast, data) })
@@ -297,25 +248,6 @@ func (c *Comm) AllgatherN(n int) {
 	})
 }
 
-// Alltoall exchanges equal blocks between every pair of ranks (pairwise
-// exchange, p-1 steps). len(send) == len(recv) == p*blockLen.
-func (c *Comm) Alltoall(send, recv []float64) {
-	p := c.Size()
-	if len(send) != len(recv) || len(send)%p != 0 {
-		panic(fmt.Sprintf("mpi: Alltoall buffer lengths %d/%d not a multiple of %d ranks", len(send), len(recv), p))
-	}
-	n := len(send) / p
-	c.collective("Alltoall", 8*len(send), func() {
-		copy(recv[c.rank*n:(c.rank+1)*n], send[c.rank*n:(c.rank+1)*n])
-		for s := 1; s < p; s++ {
-			dst := (c.rank + s) % p
-			src := (c.rank - s + p) % p
-			c.Send(dst, tagAlltoal, send[dst*n:(dst+1)*n])
-			c.Recv(src, tagAlltoal, recv[src*n:(src+1)*n])
-		}
-	})
-}
-
 // AlltoallComplex exchanges equal complex128 blocks (used by the FT
 // transpose).
 func (c *Comm) AlltoallComplex(send, recv []complex128) {
@@ -347,69 +279,6 @@ func (c *Comm) AlltoallN(blockBytes int) {
 			src := (c.rank - s + p) % p
 			c.SendN(dst, tagAlltoal, blockBytes)
 			c.RecvN(src, tagAlltoal)
-		}
-	})
-}
-
-// Gather collects each rank's send block to root's recv buffer (linear).
-// recv is only written on root, where len(recv) must be p*len(send).
-func (c *Comm) Gather(root int, send, recv []float64) {
-	c.checkRank(root, "root")
-	p := c.Size()
-	n := len(send)
-	c.collective("Gather", 8*n, func() {
-		if c.rank == root {
-			if len(recv) != p*n {
-				panic(fmt.Sprintf("mpi: Gather recv length %d, want %d", len(recv), p*n))
-			}
-			copy(recv[root*n:(root+1)*n], send)
-			for r := 0; r < p; r++ {
-				if r != root {
-					c.Recv(r, tagGather, recv[r*n:(r+1)*n])
-				}
-			}
-		} else {
-			c.Send(root, tagGather, send)
-		}
-	})
-}
-
-// GatherN performs a phantom gather of n bytes per rank to root.
-func (c *Comm) GatherN(root, n int) {
-	c.checkRank(root, "root")
-	p := c.Size()
-	c.collective("Gather", n, func() {
-		if c.rank == root {
-			for r := 0; r < p; r++ {
-				if r != root {
-					c.RecvN(r, tagGather)
-				}
-			}
-		} else {
-			c.SendN(root, tagGather, n)
-		}
-	})
-}
-
-// Scatter distributes consecutive blocks of root's send buffer to each
-// rank's recv (linear). send is only read on root.
-func (c *Comm) Scatter(root int, send, recv []float64) {
-	c.checkRank(root, "root")
-	p := c.Size()
-	n := len(recv)
-	c.collective("Scatter", 8*n, func() {
-		if c.rank == root {
-			if len(send) != p*n {
-				panic(fmt.Sprintf("mpi: Scatter send length %d, want %d", len(send), p*n))
-			}
-			for r := 0; r < p; r++ {
-				if r != root {
-					c.Send(r, tagScatter, send[r*n:(r+1)*n])
-				}
-			}
-			copy(recv, send[root*n:(root+1)*n])
-		} else {
-			c.Recv(root, tagScatter, recv)
 		}
 	})
 }

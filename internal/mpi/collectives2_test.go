@@ -130,25 +130,3 @@ func TestScanSingleRank(t *testing.T) {
 		return nil
 	})
 }
-
-func TestMaxMinOpsOnInts(t *testing.T) {
-	var dst, src = []int{3, -2}, []int{1, 5}
-	Max.combineInts(dst, src)
-	if dst[0] != 3 || dst[1] != 5 {
-		t.Fatalf("max = %v", dst)
-	}
-	dst = []int{3, -2}
-	Min.combineInts(dst, src)
-	if dst[0] != 1 || dst[1] != -2 {
-		t.Fatalf("min = %v", dst)
-	}
-}
-
-func TestOpString(t *testing.T) {
-	if Sum.String() != "sum" || Max.String() != "max" || Min.String() != "min" {
-		t.Fatal("op names wrong")
-	}
-	if Op(42).String() == "" {
-		t.Fatal("unknown op should render")
-	}
-}

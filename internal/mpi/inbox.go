@@ -228,14 +228,6 @@ func (b *inbox) match(w *World, ctx uint64, src, tag int, now float64) *message 
 	}
 }
 
-// pending returns the number of queued, unmatched messages: a counter
-// maintained by put/match, so it stays O(1) over any number of buckets.
-func (b *inbox) pending() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.npend
-}
-
 // pendingDebug returns the maintained counter alongside a brute-force
 // recount over every bucket, both read under one lock acquisition (test
 // hook for the counter invariant).

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/platform"
 )
 
@@ -155,79 +157,109 @@ func TestSendrecvRing(t *testing.T) {
 	})
 }
 
+// waitTracer records the bytes of every completed Wait, in call order.
+type waitTracer struct {
+	mu    sync.Mutex
+	waits []int
+}
+
+func (t *waitTracer) Call(rank int, rec CallRecord) {
+	if rec.Name == "Wait" {
+		t.mu.Lock()
+		t.waits = append(t.waits, rec.Bytes)
+		t.mu.Unlock()
+	}
+}
+func (t *waitTracer) Advance(int, string, float64, float64) {}
+func (t *waitTracer) Region(int, string, float64)           {}
+
 func TestNonblocking(t *testing.T) {
-	run(t, platform.Vayu(), 2, func(c *Comm) error {
+	// Ten receives posted before any send, each on its own tag and
+	// completed in reverse order, must each match the send with that
+	// tag (tag i carries 8*(i+1) bytes).
+	tr := &waitTracer{}
+	_, err := RunOn(platform.Vayu(), 2, func(c *Comm) error {
+		reqs := make([]*Request, 10)
 		if c.Rank() == 0 {
-			reqs := make([]*Request, 10)
 			for i := range reqs {
-				reqs[i] = c.Isend(1, i, []float64{float64(i)})
+				reqs[i] = c.IsendN(1, i, 8*(i+1))
 			}
 			c.Waitall(reqs...)
-		} else {
-			bufs := make([][]float64, 10)
-			reqs := make([]*Request, 10)
-			for i := range reqs {
-				bufs[i] = make([]float64, 1)
-				reqs[i] = c.Irecv(0, i, bufs[i])
-			}
-			c.Waitall(reqs...)
-			for i, b := range bufs {
-				if b[0] != float64(i) {
-					return fmt.Errorf("irecv %d got %v", i, b[0])
-				}
-			}
+			return nil
+		}
+		for i := range reqs {
+			reqs[i] = c.IrecvN(0, i)
+		}
+		for i := len(reqs) - 1; i >= 0; i-- {
+			c.Wait(reqs[i])
 		}
 		return nil
-	})
+	}, WithTracer(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.waits) != 10 {
+		t.Fatalf("%d receive completions traced, want 10", len(tr.waits))
+	}
+	for k, n := range tr.waits {
+		if i := 9 - k; n != 8*(i+1) {
+			t.Fatalf("request %d matched %d bytes, want %d", i, n, 8*(i+1))
+		}
+	}
 }
 
 func TestWaitIdempotent(t *testing.T) {
 	run(t, platform.Vayu(), 2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			c.Send(1, 0, []float64{1})
-		} else {
-			buf := make([]float64, 1)
-			r := c.Irecv(0, 0, buf)
-			n1 := c.Wait(r)
-			n2 := c.Wait(r)
-			if n1 != 1 || n2 != 1 {
-				return fmt.Errorf("Wait returned %d then %d", n1, n2)
-			}
+			c.SendN(1, 0, 8)
+			return nil
+		}
+		r := c.IrecvN(0, 0)
+		c.Wait(r)
+		at := c.Clock()
+		c.Wait(r) // a second match would find no message and deadlock
+		if !r.done || c.Clock() != at {
+			return fmt.Errorf("second Wait was not a no-op (done=%v, clock %v -> %v)", r.done, at, c.Clock())
 		}
 		return nil
 	})
 }
 
 func TestBcast(t *testing.T) {
+	// The binomial tree must reach every non-root rank with exactly one
+	// message: np-1 receives in total, and every rank but the root ends
+	// later than it started.
 	for _, np := range []int{1, 2, 3, 4, 7, 8, 16} {
 		np := np
 		t.Run(fmt.Sprintf("np=%d", np), func(t *testing.T) {
-			run(t, platform.Vayu(), np, func(c *Comm) error {
-				data := make([]float64, 4)
-				if c.Rank() == 2%np {
-					for i := range data {
-						data[i] = float64(i) + 0.5
-					}
-				}
-				c.Bcast(2%np, data)
-				for i := range data {
-					if data[i] != float64(i)+0.5 {
-						return fmt.Errorf("rank %d: bcast[%d] = %v", c.Rank(), i, data[i])
-					}
+			reg := obs.NewRegistry()
+			root := 2 % np
+			_, err := RunOn(platform.Vayu(), np, func(c *Comm) error {
+				c.BcastN(root, 4096)
+				if c.Rank() != root && c.Clock() <= 0 {
+					return fmt.Errorf("rank %d left the broadcast at t=%v without receiving", c.Rank(), c.Clock())
 				}
 				return nil
-			})
+			}, WithMetrics(reg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := reg.Snapshot(false)["mpi_recvs_total"].Value; got != int64(np-1) {
+				t.Fatalf("broadcast delivered %d messages, want %d", got, np-1)
+			}
 		})
 	}
 }
 
 func TestReduce(t *testing.T) {
+	// The binomial reduce tree behind Allreduce on non-power-of-two
+	// sizes leaves the full sum on rank 0.
 	for _, np := range []int{1, 2, 5, 8} {
 		np := np
 		t.Run(fmt.Sprintf("np=%d", np), func(t *testing.T) {
 			run(t, platform.Vayu(), np, func(c *Comm) error {
 				data := []float64{float64(c.Rank() + 1)}
-				c.Reduce(Sum, 0, data)
+				c.reduceBody(Sum, data)
 				if c.Rank() == 0 {
 					want := float64(np*(np+1)) / 2
 					if data[0] != want {
@@ -277,6 +309,32 @@ func TestAllreduceInts(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+func TestMaxMinOpsOnInts(t *testing.T) {
+	run(t, platform.Vayu(), 3, func(c *Comm) error {
+		vals := [][]int{{3, -2}, {1, 5}, {2, 0}}
+		mx := append([]int(nil), vals[c.Rank()]...)
+		c.AllreduceInts(Max, mx)
+		mn := append([]int(nil), vals[c.Rank()]...)
+		c.AllreduceInts(Min, mn)
+		if mx[0] != 3 || mx[1] != 5 {
+			return fmt.Errorf("max = %v", mx)
+		}
+		if mn[0] != 1 || mn[1] != -2 {
+			return fmt.Errorf("min = %v", mn)
+		}
+		return nil
+	})
+}
+
+func TestOpString(t *testing.T) {
+	if Sum.String() != "sum" || Max.String() != "max" || Min.String() != "min" {
+		t.Fatal("op names wrong")
+	}
+	if Op(42).String() == "" {
+		t.Fatal("unknown op should render")
+	}
 }
 
 func TestAllreduceMatchesSerialProperty(t *testing.T) {
@@ -335,19 +393,20 @@ func TestAllgather(t *testing.T) {
 }
 
 func TestAlltoall(t *testing.T) {
+	// Pairwise exchange: rank r's block d must land in rank d's block r.
 	for _, np := range []int{2, 3, 4, 8} {
 		np := np
 		t.Run(fmt.Sprintf("np=%d", np), func(t *testing.T) {
 			run(t, platform.Vayu(), np, func(c *Comm) error {
-				send := make([]float64, np)
-				for d := range send {
-					send[d] = float64(c.Rank()*100 + d)
+				send := make([]complex128, 2*np)
+				for i := range send {
+					send[i] = complex(float64(c.Rank()*100+i/2), float64(i%2))
 				}
-				recv := make([]float64, np)
-				c.Alltoall(send, recv)
-				for s := 0; s < np; s++ {
-					if recv[s] != float64(s*100+c.Rank()) {
-						return fmt.Errorf("rank %d: from %d got %v", c.Rank(), s, recv[s])
+				recv := make([]complex128, 2*np)
+				c.AlltoallComplex(send, recv)
+				for i := range recv {
+					if want := complex(float64(i/2*100+c.Rank()), float64(i%2)); recv[i] != want {
+						return fmt.Errorf("rank %d: element %d = %v, want %v", c.Rank(), i, recv[i], want)
 					}
 				}
 				return nil
@@ -369,39 +428,6 @@ func TestAlltoallComplex(t *testing.T) {
 			if recv[s] != complex(float64(s), float64(c.Rank())) {
 				return fmt.Errorf("rank %d: from %d got %v", c.Rank(), s, recv[s])
 			}
-		}
-		return nil
-	})
-}
-
-func TestGatherScatter(t *testing.T) {
-	const np = 5
-	run(t, platform.Vayu(), np, func(c *Comm) error {
-		send := []float64{float64(c.Rank())}
-		var recv []float64
-		if c.Rank() == 1 {
-			recv = make([]float64, np)
-		}
-		c.Gather(1, send, recv)
-		if c.Rank() == 1 {
-			for r := 0; r < np; r++ {
-				if recv[r] != float64(r) {
-					return fmt.Errorf("gather block %d = %v", r, recv[r])
-				}
-			}
-		}
-		// Scatter back doubled values.
-		var src []float64
-		if c.Rank() == 1 {
-			src = make([]float64, np)
-			for r := range src {
-				src[r] = 2 * float64(r)
-			}
-		}
-		out := make([]float64, 1)
-		c.Scatter(1, src, out)
-		if out[0] != 2*float64(c.Rank()) {
-			return fmt.Errorf("scatter got %v", out[0])
 		}
 		return nil
 	})
@@ -444,7 +470,6 @@ func TestPhantomCollectives(t *testing.T) {
 				c.BcastN(0, 1024)
 				c.AllgatherN(64)
 				c.AlltoallN(256)
-				c.GatherN(0, 128)
 				c.Barrier()
 				return nil
 			})

@@ -62,9 +62,6 @@ func WithRuntime(r Runtime) Option { return func(w *World) { w.runtime = r } }
 // worker count, which the parity tests assert.
 func WithEngineWorkers(n int) Option { return func(w *World) { w.engWorkers = n } }
 
-// Runtime returns the world's configured execution engine.
-func (w *World) Runtime() Runtime { return w.runtime }
-
 // startEngine installs a fresh PDES engine for one Run. The engine is
 // per-Run state: each Run of a reusable world gets its own event queue
 // and proc table.

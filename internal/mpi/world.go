@@ -422,14 +422,3 @@ func (ts tee) Region(rank int, name string, at float64) {
 		t.Region(rank, name, at)
 	}
 }
-
-// Pending returns the number of sent-but-unmatched messages across all
-// ranks. After a well-formed program completes it must be zero: every
-// send was received. Useful as a post-run invariant check.
-func (w *World) Pending() int {
-	n := 0
-	for _, b := range w.inboxes {
-		n += b.pending()
-	}
-	return n
-}

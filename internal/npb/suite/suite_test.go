@@ -1,11 +1,12 @@
 package suite
 
 import (
-	"repro/internal/cluster"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/mpi"
 	"repro/internal/npb"
+	"repro/internal/obs"
 	"repro/internal/platform"
 )
 
@@ -149,7 +150,8 @@ func TestEC2DipAt16MatchesPaper(t *testing.T) {
 }
 
 // TestNoLeakedMessages verifies the conservation invariant: after every
-// kernel's skeleton completes, no sent message remains unmatched.
+// kernel's skeleton completes, no sent message remains unmatched — the
+// world's send and receive counters agree.
 func TestNoLeakedMessages(t *testing.T) {
 	for _, name := range npb.Names() {
 		counts := npb.ProcCounts(name, 16)
@@ -162,15 +164,19 @@ func TestNoLeakedMessages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, err := mpi.NewWorld(platform.DCC(), pl)
+		reg := obs.NewRegistry()
+		w, err := mpi.NewWorld(platform.DCC(), pl, mpi.WithMetrics(reg))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := w.Run(func(c *mpi.Comm) error { return fn(c, npb.ClassA) }); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if p := w.Pending(); p != 0 {
-			t.Errorf("%s.%d: %d unmatched messages leaked", name, np, p)
+		snap := reg.Snapshot(false)
+		sends, recvs := snap["mpi_sends_total"].Value, snap["mpi_recvs_total"].Value
+		if sends == 0 || sends != recvs {
+			t.Errorf("%s.%d: %d sends but %d receives: %d unmatched messages leaked",
+				name, np, sends, recvs, sends-recvs)
 		}
 	}
 }

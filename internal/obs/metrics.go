@@ -1,6 +1,5 @@
 // Package obs is the run-wide observability plane: a lock-cheap metrics
-// registry with Prometheus text exposition and a deterministic JSON
-// snapshot, a Scalasca-style wait-state and critical-path analyzer over
+// registry with a deterministic JSON snapshot, a Scalasca-style wait-state and critical-path analyzer over
 // recorded timelines, and structured run manifests tying every artefact
 // to the exact run that produced it.
 //
@@ -21,15 +20,13 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// Kind discriminates metric types in snapshots and exposition.
+// Kind discriminates metric types in snapshots.
 type Kind uint8
 
 // Metric kinds.
@@ -94,19 +91,6 @@ func (g *Gauge) Set(n int64) {
 func (g *Gauge) Add(delta int64) {
 	if g != nil {
 		g.v.Add(delta)
-	}
-}
-
-// SetMax raises the gauge to n if n exceeds the current value.
-func (g *Gauge) SetMax(n int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if n <= cur || g.v.CompareAndSwap(cur, n) {
-			return
-		}
 	}
 }
 
@@ -321,64 +305,4 @@ func (r *Registry) Snapshot(includeVolatile bool) map[string]Metric {
 		out[name] = m
 	}
 	return out
-}
-
-// WritePrometheus renders every metric (volatile included) in the
-// Prometheus text exposition format, sorted by name.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	names := make([]string, 0, len(r.entries))
-	for name := range r.entries {
-		names = append(names, name)
-	}
-	entries := make(map[string]*entry, len(r.entries))
-	for name, e := range r.entries {
-		entries[name] = e
-	}
-	r.mu.Unlock()
-	sort.Strings(names)
-
-	for _, name := range names {
-		e := entries[name]
-		if e.help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, e.help); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, e.kind); err != nil {
-			return err
-		}
-		switch e.kind {
-		case KindCounter:
-			if _, err := fmt.Fprintf(w, "%s %d\n", name, e.c.Value()); err != nil {
-				return err
-			}
-		case KindGauge:
-			if _, err := fmt.Fprintf(w, "%s %d\n", name, e.g.Value()); err != nil {
-				return err
-			}
-		case KindHistogram:
-			var cum int64
-			for i := range e.h.buckets {
-				n := e.h.buckets[i].Load()
-				if n == 0 {
-					continue
-				}
-				cum += n
-				if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", name, upperBound(i), cum); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, e.h.Count()); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", name, e.h.Sum(), name, e.h.Count()); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

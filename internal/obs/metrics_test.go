@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"strings"
 	"sync"
 	"testing"
 )
@@ -30,17 +29,12 @@ func TestAddSecondsRoundsPerEvent(t *testing.T) {
 	}
 }
 
-func TestGaugeSetMax(t *testing.T) {
+func TestGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	g := r.Gauge("depth", "")
-	g.Set(5)
-	g.SetMax(3)
-	if got := g.Value(); got != 5 {
-		t.Fatalf("SetMax(3) lowered gauge to %d", got)
-	}
-	g.SetMax(9)
+	g.Set(9)
 	if got := g.Value(); got != 9 {
-		t.Fatalf("SetMax(9) = %d, want 9", got)
+		t.Fatalf("Set(9) = %d, want 9", got)
 	}
 	g.Add(-2)
 	if got := g.Value(); got != 7 {
@@ -132,39 +126,6 @@ func TestNilRegistryAndHandles(t *testing.T) {
 	}
 	if r.Snapshot(true) != nil {
 		t.Fatal("nil registry snapshot not nil")
-	}
-	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWritePrometheus(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("comm_bytes", "payload bytes").Add(3)
-	r.VolatileGauge("queue_depth", "").Set(4)
-	h := r.Histogram("lat_ns", "latency")
-	h.Observe(1)
-	h.Observe(5)
-
-	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := `# HELP comm_bytes payload bytes
-# TYPE comm_bytes counter
-comm_bytes 3
-# HELP lat_ns latency
-# TYPE lat_ns histogram
-lat_ns_bucket{le="1"} 1
-lat_ns_bucket{le="7"} 2
-lat_ns_bucket{le="+Inf"} 2
-lat_ns_sum 6
-lat_ns_count 2
-# TYPE queue_depth gauge
-queue_depth 4
-`
-	if sb.String() != want {
-		t.Fatalf("prometheus output:\n%s\nwant:\n%s", sb.String(), want)
 	}
 }
 

@@ -103,9 +103,10 @@ func AppendHistory(path string, s Snapshot) error {
 }
 
 // ReadHistory loads every snapshot in file order. A missing file returns
-// (nil, nil) so the first bench run needs no history; a malformed line
-// is an error naming its line number, because silently dropping history
-// would skew every verdict computed from it.
+// (nil, nil) so the first bench run needs no history; a malformed line,
+// or one without benchmarks (AppendHistory never writes one), is an
+// error naming its line number, because silently dropping history would
+// skew every verdict computed from it.
 func ReadHistory(path string) ([]Snapshot, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -128,6 +129,9 @@ func ReadHistory(path string) ([]Snapshot, error) {
 		var s Snapshot
 		if err := json.Unmarshal(line, &s); err != nil {
 			return nil, fmt.Errorf("perfbench: %s:%d: %w", path, lineno, err)
+		}
+		if len(s.Benchmarks) == 0 {
+			return nil, fmt.Errorf("perfbench: %s:%d: snapshot has no benchmarks", path, lineno)
 		}
 		out = append(out, s)
 	}
@@ -156,21 +160,4 @@ func Series(history []Snapshot, name, fingerprint string) []float64 {
 		}
 	}
 	return vals
-}
-
-// BenchNames returns the union of benchmark names across the snapshots,
-// sorted — the deterministic iteration order every report uses.
-func BenchNames(history []Snapshot) []string {
-	seen := map[string]bool{}
-	for _, s := range history {
-		for _, p := range s.Benchmarks {
-			seen[p.Name] = true
-		}
-	}
-	names := make([]string, 0, len(seen))
-	for name := range seen {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -63,12 +64,17 @@ func TestHistoryRejectsEmptySnapshot(t *testing.T) {
 }
 
 func TestHistoryMalformedLine(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "h.jsonl")
-	if err := os.WriteFile(path, []byte("{\"model_version\":\"x\"}\nnot json\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadHistory(path); err == nil {
-		t.Fatal("malformed line read without error")
+	good := `{"model_version":"x","benchmarks":[{"name":"a","n":1}]}` + "\n"
+	// A line that is not JSON, and lines that decode to a snapshot
+	// AppendHistory would never write.
+	for _, bad := range []string{"not json", "null", `{"model_version":"x"}`} {
+		path := filepath.Join(t.TempDir(), "h.jsonl")
+		if err := os.WriteFile(path, []byte(good+bad+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadHistory(path); err == nil || !strings.Contains(err.Error(), ":2:") {
+			t.Fatalf("line 2 %q: got error %v, want one naming line 2", bad, err)
+		}
 	}
 }
 
@@ -109,15 +115,5 @@ func TestFingerprintIgnoresGitRev(t *testing.T) {
 	b.GOMAXPROCS = 1
 	if a.Fingerprint() == b.Fingerprint() {
 		t.Fatal("fingerprint must depend on GOMAXPROCS")
-	}
-}
-
-func TestBenchNames(t *testing.T) {
-	history := []Snapshot{
-		snap("", testEnv, map[string]float64{"z": 1, "a": 2}),
-		snap("", testEnv, map[string]float64{"m": 3}),
-	}
-	if got, want := BenchNames(history), []string{"a", "m", "z"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("BenchNames = %v, want %v", got, want)
 	}
 }

@@ -5,7 +5,7 @@
 // params, seed, model version), so regenerations are embarrassingly
 // parallel and an unchanged artefact can be served from the cache instead
 // of re-simulated. The experiments registry builds Jobs; cmd/repro and
-// experiments.RunChecks execute them through Run.
+// experiments.RunChecksScheduled execute them through Run.
 package sched
 
 import (

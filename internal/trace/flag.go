@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"repro/internal/mpi"
-	"repro/internal/obs"
 )
 
 // Multi collects several recordings — restart incarnations, the runs of
@@ -41,18 +40,6 @@ func (m *Multi) WriteChrome(w io.Writer) error {
 	recs := append([]*Recorder(nil), m.recs...)
 	m.mu.Unlock()
 	return writeChromeRuns(w, recs)
-}
-
-// Timelines snapshots every recording for the obs analyzer.
-func (m *Multi) Timelines() []obs.Timeline {
-	m.mu.Lock()
-	recs := append([]*Recorder(nil), m.recs...)
-	m.mu.Unlock()
-	out := make([]obs.Timeline, len(recs))
-	for i, rec := range recs {
-		out[i] = rec.Timeline()
-	}
-	return out
 }
 
 // FlagSink is the shared handler behind the uniform -trace flag of the

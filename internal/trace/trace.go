@@ -101,15 +101,6 @@ func (r *Recorder) Count() int {
 	return n
 }
 
-// Timeline snapshots the full recording for the obs analyzer.
-func (r *Recorder) Timeline() obs.Timeline {
-	tl := make(obs.Timeline, len(r.ranks))
-	for rank := range r.ranks {
-		tl[rank] = r.Events(rank)
-	}
-	return tl
-}
-
 // chromeEvent is the trace-event JSON schema ("X" = complete event).
 type chromeEvent struct {
 	Name string            `json:"name"`

@@ -155,7 +155,7 @@ func TestChromeRoundTrip(t *testing.T) {
 	if len(runs) != 1 || runs[0].PID != 0 {
 		t.Fatalf("runs = %+v, want one run with pid 0", runs)
 	}
-	orig := rec.Timeline()
+	orig := timelineOf(rec)
 	got := runs[0].Timeline
 	if got.NP() != orig.NP() {
 		t.Fatalf("np = %d, want %d", got.NP(), orig.NP())
@@ -199,7 +199,7 @@ func TestAnalyzeRecordedRun(t *testing.T) {
 		}
 		return nil
 	})
-	a := obs.Analyze(rec.Timeline())
+	a := obs.Analyze(timelineOf(rec))
 	if a.NP != np {
 		t.Fatalf("np = %d", a.NP)
 	}
@@ -287,9 +287,18 @@ func TestMultiMergesRunsByPID(t *testing.T) {
 	if len(runs) != 2 || runs[0].PID != 0 || runs[1].PID != 1 {
 		t.Fatalf("got %d runs (pids %v)", len(runs), runs)
 	}
-	for i, tls := range m.Timelines() {
-		if runs[i].Timeline.NP() != tls.NP() {
-			t.Fatalf("run %d np mismatch", i)
+	for i, run := range runs {
+		if run.Timeline.NP() != 2 {
+			t.Fatalf("run %d has %d ranks, want 2", i, run.Timeline.NP())
 		}
 	}
+}
+
+// timelineOf snapshots a whole recording for the obs analyzer.
+func timelineOf(r *Recorder) obs.Timeline {
+	tl := make(obs.Timeline, len(r.ranks))
+	for rank := range r.ranks {
+		tl[rank] = r.Events(rank)
+	}
+	return tl
 }

@@ -258,9 +258,9 @@ func TestParityArtefactBytes(t *testing.T) {
 // TestParityFacility cross-validates the batch facility's job-execution
 // leg: broker calibration is built from real core.Execute reference runs,
 // so the calibrated factors — and every facility decision downstream of
-// them — must be bit-identical whichever engine performed those runs,
-// and whichever scheduler implementation (incremental heap or sort-pass
-// oracle) replays the calibrated schedule.
+// them — must be bit-identical whichever engine performed those runs.
+// (The heap-vs-sort scheduler comparison of the same calibrated schedule
+// is internal/facility's TestSchedParityCalibratedBroker.)
 func TestParityFacility(t *testing.T) {
 	jobs, err := facility.Generate(facility.WorkloadSpec{
 		Seed: 7, Jobs: 120, Tenants: 15, Slots: 64,
@@ -268,7 +268,6 @@ func TestParityFacility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scheds := []facility.SchedKind{facility.SchedHeap, facility.SchedSort}
 	var refBroker *facility.Broker
 	var refDigest string
 	for _, eng := range engines {
@@ -278,40 +277,34 @@ func TestParityFacility(t *testing.T) {
 		if err != nil {
 			t.Fatalf("calibration under %s: %v", eng.name, err)
 		}
-		for _, sched := range scheds {
-			f, err := facility.New(facility.Config{
-				Slots:     [facility.NumPools]int{64, 32, 32},
-				Backfill:  true,
-				Fairshare: true,
-				Sched:     sched,
-				Broker:    broker,
-				Prices:    [facility.NumPools]float64{0, 0.34, 0.68},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := f.Run(jobs)
-			if err != nil {
-				t.Fatalf("facility under %s/%s: %v", eng.name, sched, err)
-			}
-			digest := facility.Digest(res)
-			if refDigest == "" {
-				refBroker, refDigest = broker, digest
-				continue
-			}
-			if digest != refDigest {
-				t.Fatalf("facility digest under %s/%s diverged from the oracle's schedule",
-					eng.name, sched)
-			}
+		f, err := facility.New(facility.Config{
+			Slots:     [facility.NumPools]int{64, 32, 32},
+			Backfill:  true,
+			Fairshare: true,
+			Broker:    broker,
+			Prices:    [facility.NumPools]float64{0, 0.34, 0.68},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if refBroker != broker {
-			for _, class := range facility.CalibratedClasses() {
-				a, b := refBroker.Factors[class], broker.Factors[class]
-				for p := range a {
-					if math.Float64bits(a[p]) != math.Float64bits(b[p]) {
-						t.Fatalf("class %s factor on %s under %s: %v vs oracle %v",
-							class, facility.Pool(p), eng.name, b[p], a[p])
-					}
+		res, err := f.Run(jobs)
+		if err != nil {
+			t.Fatalf("facility under %s: %v", eng.name, err)
+		}
+		digest := facility.Digest(res)
+		if refDigest == "" {
+			refBroker, refDigest = broker, digest
+			continue
+		}
+		if digest != refDigest {
+			t.Fatalf("facility digest under %s diverged from the reference engine's schedule", eng.name)
+		}
+		for _, class := range facility.CalibratedClasses() {
+			a, b := refBroker.Factors[class], broker.Factors[class]
+			for p := range a {
+				if math.Float64bits(a[p]) != math.Float64bits(b[p]) {
+					t.Fatalf("class %s factor on %s under %s: %v vs reference %v",
+						class, facility.Pool(p), eng.name, b[p], a[p])
 				}
 			}
 		}
