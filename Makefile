@@ -47,8 +47,8 @@ race:
 	$(GO) test -race ./...
 
 # Short seeded-corpus fuzz passes over the fault plane, the spot-market
-# simulator, the event engine, the facility, the cmd/inspect readers and
-# the bench-history reader.
+# simulator, the event engine, the facility, the cmd/inspect readers, the
+# bench-history reader and the artefact cache reader.
 # Bounded by FUZZTIME so verify stays a fixed-cost gate; raise it
 # (make fuzz FUZZTIME=5m) for a real fuzzing session.
 fuzz:
@@ -62,6 +62,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeManifest -fuzztime $(FUZZTIME) ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzParseChromeTrace -fuzztime $(FUZZTIME) ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzReadHistory -fuzztime $(FUZZTIME) ./internal/perfbench
+	$(GO) test -run '^$$' -fuzz FuzzCacheGet -fuzztime $(FUZZTIME) ./internal/sched
 
 # Full microbenchmark run: measures the perfbench suite (ns/op, B/op,
 # allocs/op), checks allocation and ns/op budgets, rewrites BENCH_PR3.json

@@ -39,90 +39,127 @@ func (r *RegionStats) Wall() float64 { return r.Comm + r.Compute + r.IO }
 
 // rankCollector gathers events for one rank. All events for a rank arrive
 // from that rank's goroutine, so no locking is needed.
+//
+// Accounting is dense: call names are interned per rank into indices on
+// first sight (a rank uses a handful of names, so a short scan beats a
+// map), the active region's accumulator is cached between region
+// switches, and the size histogram is a slice. Snapshot rebuilds the
+// name-keyed maps Profile exposes.
 type rankCollector struct {
-	region   string
 	comm     float64
 	compute  float64
 	io       float64
 	wait     float64
 	queued   float64
-	calls    map[string]*CallStats
-	regions  map[string]*RegionStats
-	sizeHist map[int]int // log2 bucket -> message count
+	names    []string     // interned call names; index = call id
+	calls    []CallStats  // by call id
+	regions  []*regionAcc // in order of first activity
+	region   string       // active region label
+	cur      *regionAcc   // region's accumulator; nil until its first call or advance
+	sizeHist []int        // log2 size bucket -> message count, grown to the largest bucket seen
 }
 
-func newRankCollector() *rankCollector {
-	rc := &rankCollector{
-		region:   DefaultRegion,
-		calls:    map[string]*CallStats{},
-		regions:  map[string]*RegionStats{},
-		sizeHist: map[int]int{},
-	}
-	rc.regions[DefaultRegion] = &RegionStats{Calls: map[string]*CallStats{}}
-	return rc
+// regionAcc accumulates one region on one rank: RegionStats with its
+// calls indexed by the rank's call ids.
+type regionAcc struct {
+	name  string
+	stats RegionStats // Calls stays nil; see calls
+	calls []CallStats
 }
 
-func (rc *rankCollector) regionStats() *RegionStats {
-	rs, ok := rc.regions[rc.region]
-	if !ok {
-		rs = &RegionStats{Calls: map[string]*CallStats{}}
-		rc.regions[rc.region] = rs
+// callID returns name's dense index on this rank, interning it on first
+// use.
+func (rc *rankCollector) callID(name string) int {
+	for i, n := range rc.names {
+		if n == name {
+			return i
+		}
 	}
-	return rs
+	//lint:allow reprolint/allochot first call of each name on this rank; a rank uses a handful of names
+	rc.names = append(rc.names, name)
+	//lint:allow reprolint/allochot grows with rc.names above
+	rc.calls = append(rc.calls, CallStats{})
+	return len(rc.names) - 1
+}
+
+// active returns the active region's accumulator, creating it on the
+// region's first call or advance.
+func (rc *rankCollector) active() *regionAcc {
+	if rc.cur != nil {
+		return rc.cur
+	}
+	for _, ra := range rc.regions {
+		if ra.name == rc.region {
+			rc.cur = ra
+			return ra
+		}
+	}
+	//lint:allow reprolint/allochot once per region and rank, on the region's first activity
+	rc.cur = &regionAcc{name: rc.region}
+	//lint:allow reprolint/allochot grows with the distinct regions of a rank
+	rc.regions = append(rc.regions, rc.cur)
+	return rc.cur
+}
+
+// add folds one call of dur seconds and the given bytes into cs.
+func (cs *CallStats) add(dur float64, bytes int) {
+	cs.Count++
+	cs.Time += dur
+	cs.Bytes += int64(bytes)
 }
 
 // Profiler implements mpi.Tracer.
 type Profiler struct {
-	ranks []*rankCollector
+	ranks []rankCollector
 }
 
 var _ mpi.Tracer = (*Profiler)(nil)
 
 // New creates a profiler for np ranks.
 func New(np int) *Profiler {
-	p := &Profiler{ranks: make([]*rankCollector, np)}
+	p := &Profiler{ranks: make([]rankCollector, np)}
 	for i := range p.ranks {
-		p.ranks[i] = newRankCollector()
+		p.ranks[i].region = DefaultRegion
 	}
 	return p
 }
 
 // Call implements mpi.Tracer.
 func (p *Profiler) Call(rank int, rec mpi.CallRecord) {
-	rc := p.ranks[rank]
+	rc := &p.ranks[rank]
 	rc.comm += rec.Dur
 	rc.wait += rec.Wait
 	rc.queued += rec.Queued
-	upd := func(m map[string]*CallStats) {
-		cs, ok := m[rec.Name]
-		if !ok {
-			cs = &CallStats{}
-			m[rec.Name] = cs
-		}
-		cs.Count++
-		cs.Time += rec.Dur
-		cs.Bytes += int64(rec.Bytes)
+	id := rc.callID(rec.Name)
+	rc.calls[id].add(rec.Dur, rec.Bytes)
+	ra := rc.active()
+	ra.stats.Comm += rec.Dur
+	ra.stats.Wait += rec.Wait
+	ra.stats.Queued += rec.Queued
+	if id >= len(ra.calls) {
+		//lint:allow reprolint/allochot grows to the rank's call-name count, once per name and region
+		ra.calls = append(ra.calls, make([]CallStats, id+1-len(ra.calls))...)
 	}
-	upd(rc.calls)
-	rs := rc.regionStats()
-	rs.Comm += rec.Dur
-	rs.Wait += rec.Wait
-	rs.Queued += rec.Queued
-	upd(rs.Calls)
-	rc.sizeHist[sizeBucket(rec.Bytes)]++
+	ra.calls[id].add(rec.Dur, rec.Bytes)
+	b := sizeBucket(rec.Bytes)
+	if b >= len(rc.sizeHist) {
+		//lint:allow reprolint/allochot grows to the largest size bucket seen (at most ~40 words)
+		rc.sizeHist = append(rc.sizeHist, make([]int, b+1-len(rc.sizeHist))...)
+	}
+	rc.sizeHist[b]++
 }
 
 // Advance implements mpi.Tracer.
 func (p *Profiler) Advance(rank int, kind string, start, dur float64) {
-	rc := p.ranks[rank]
-	rs := rc.regionStats()
+	rc := &p.ranks[rank]
+	ra := rc.active()
 	switch kind {
 	case "compute":
 		rc.compute += dur
-		rs.Compute += dur
+		ra.stats.Compute += dur
 	case "io":
 		rc.io += dur
-		rs.IO += dur
+		ra.stats.IO += dur
 	}
 }
 
@@ -131,7 +168,10 @@ func (p *Profiler) Region(rank int, name string, at float64) {
 	if name == "" {
 		name = DefaultRegion
 	}
-	p.ranks[rank].region = name
+	rc := &p.ranks[rank]
+	if name != rc.region {
+		rc.region, rc.cur = name, nil
+	}
 }
 
 // sizeBucket returns the log2 bucket index for a message size (0 bytes
@@ -204,25 +244,47 @@ func (p *Profiler) Snapshot(res *mpi.Result) *Profile {
 		regions:  make([]map[string]*RegionStats, np),
 		sizeHist: map[int]int{},
 	}
-	for r, rc := range p.ranks {
+	for r := range p.ranks {
+		rc := &p.ranks[r]
 		pr.Comm[r] = rc.comm
 		pr.Comp[r] = rc.compute
 		pr.IO[r] = rc.io
 		pr.Wait[r] = rc.wait
 		pr.Queued[r] = rc.queued
-		pr.regions[r] = rc.regions
-		for name, cs := range rc.calls {
+		for id, name := range rc.names {
+			cs := rc.calls[id]
 			agg := pr.Calls[name]
 			agg.Count += cs.Count
 			agg.Time += cs.Time
 			agg.Bytes += cs.Bytes
 			pr.Calls[name] = agg
 		}
+		pr.regions[r] = rc.regionMap()
 		for b, c := range rc.sizeHist {
-			pr.sizeHist[b] += c
+			if c > 0 {
+				pr.sizeHist[b] += c
+			}
 		}
 	}
 	return pr
+}
+
+// regionMap rebuilds the rank's name-keyed region statistics. The default
+// region is always present, as it is on entry to every rank.
+func (rc *rankCollector) regionMap() map[string]*RegionStats {
+	m := make(map[string]*RegionStats, len(rc.regions)+1)
+	m[DefaultRegion] = &RegionStats{Calls: map[string]*CallStats{}}
+	for _, ra := range rc.regions {
+		rs := ra.stats
+		rs.Calls = make(map[string]*CallStats, len(ra.calls))
+		for id, cs := range ra.calls {
+			if cs.Count > 0 {
+				rs.Calls[rc.names[id]] = &cs
+			}
+		}
+		m[ra.name] = &rs
+	}
+	return m
 }
 
 // CommPercent returns the percentage of total walltime spent in

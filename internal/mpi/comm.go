@@ -6,17 +6,25 @@ import (
 
 	"repro/internal/cpumodel"
 	"repro/internal/netmodel"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
 // rankState is the per-rank execution state shared by every communicator
 // handle of that rank (the virtual clock must not fork across Split).
+//
+// World.Run carves the states of all ranks out of one slab. The fields a
+// rank rarely writes lead, 64 bytes of them, so the fields each rank
+// writes per operation never share a cache line with its neighbour's.
 type rankState struct {
-	world *World
-	wrank int // world rank
-	clock float64
-	rng   *sim.RNG
+	world     *World
+	wrank     int // world rank
+	rng       *sim.RNG
+	deathAt   float64             // preemption time of this rank's node (+Inf: none)
+	throttles []cpumodel.Throttle // straggler windows from the fault plan
+	solo      bool                // single-communicator phase: sender owns the whole NIC
 
+	clock       float64
 	commTime    float64
 	computeTime float64
 	ioTime      float64
@@ -30,11 +38,9 @@ type rankState struct {
 	waitPeer  int // world rank of the largest single wait; -1 = none
 
 	region string
-	quiet  int  // >0 suppresses tracing/accounting of nested operations
-	solo   bool // single-communicator phase: sender owns the whole NIC
+	quiet  int // >0 suppresses tracing/accounting of nested operations
 
-	deathAt   float64             // preemption time of this rank's node (+Inf: none)
-	throttles []cpumodel.Throttle // straggler windows from the fault plan
+	tally msgTally // message metrics, flushed into the registry by World.Run
 }
 
 // Comm is one rank's handle on a communicator. The zero value is not
@@ -259,26 +265,27 @@ func (c *Comm) sendMsg(dst, tag int, m *message, bytes int) float64 {
 	c.st.clock += busy
 	m.ctx, m.src, m.tag = c.ctx, c.st.wrank, tag
 	m.bytes, m.arrive = bytes, start+delay
-	w.met.sends.Inc()
-	w.met.sendBytes.Add(int64(bytes))
-	w.met.msgBytes.Observe(int64(bytes))
+	t := &c.st.tally
+	t.sends++
+	t.sendBytes += int64(bytes)
+	t.observeSize(w.met.msgBytes, int64(bytes))
 	if rv := RendezvousBytes(); rv > 0 && int64(bytes) >= rv {
-		w.met.rendezvous.Inc()
+		t.rendezvous++
 	} else {
-		w.met.eager.Inc()
+		t.eager++
 	}
 	w.inboxes[wdst].put(w, m)
 	return start
 }
 
-// leaseMessage leases a pooled envelope on behalf of this rank's world,
-// metering pool traffic.
+// leaseMessage leases a pooled envelope on behalf of this rank, tallying
+// pool traffic.
 func (c *Comm) leaseMessage() *message {
 	m, fresh := newMessage()
-	met := &c.st.world.met
-	met.poolLease.Inc()
+	t := &c.st.tally
+	t.poolLease++
 	if fresh {
-		met.poolMiss.Inc()
+		t.poolMiss++
 	}
 	return m
 }
@@ -312,9 +319,9 @@ func (c *Comm) recvRaw(src, tag int) *message {
 	m := c.st.world.inboxes[c.st.wrank].match(c.st.world, c.ctx, c.group[src], tag, c.st.clock)
 	link := c.st.world.link(m.src, c.st.wrank)
 	st := c.st
-	met := &st.world.met
-	met.recvs.Inc()
-	met.recvBytes.Add(int64(m.bytes))
+	t := &st.tally
+	t.recvs++
+	t.recvBytes += int64(m.bytes)
 	// Classify the wait state before advancing the clock: arrival after
 	// the receive entry is late-sender blocked time, arrival before it
 	// means the message sat queued (late receiver). Neither changes any
@@ -326,12 +333,12 @@ func (c *Comm) recvRaw(src, tag int) *message {
 			st.maxWait = wait
 			st.waitPeer = m.src
 		}
-		met.waitNS.AddSeconds(wait)
+		t.waitNS += obs.Nanos(wait)
 		st.clock = m.arrive
 	} else if m.arrive < st.clock {
 		queued := st.clock - m.arrive
 		st.queuedAcc += queued
-		met.queuedNS.AddSeconds(queued)
+		t.queuedNS += obs.Nanos(queued)
 	}
 	st.clock += link.RecvOverhead
 	return m

@@ -1,6 +1,10 @@
 package mpi
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/obs"
+)
 
 // message is an in-flight point-to-point message. Envelopes (and the
 // payload capacity they carry) are recycled through msgPool; see pool.go
@@ -23,6 +27,24 @@ type message struct {
 type bucketKey struct {
 	ctx      uint64
 	src, tag int
+}
+
+// hash mixes the key's three integers into a table position seed (the
+// murmur3 64-bit finaliser over a multiplicative combine).
+func (k bucketKey) hash() uint64 {
+	h := k.ctx ^ uint64(k.src)*0x9e3779b97f4a7c15 ^ uint64(k.tag)*0xc2b2ae3d27d4eb4f
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
+
+// slot is one entry of an inbox's bucket table; q == nil marks it free.
+type slot struct {
+	k bucketKey
+	q *bucket
 }
 
 // bucket is one (ctx,src,tag) FIFO. head indexes the next message to
@@ -65,17 +87,32 @@ func (q *bucket) pop() *message {
 }
 
 // inbox is one rank's unexpected-message queue, bucketed by exact
-// (ctx,src,tag) so every receive is a map lookup plus a FIFO pop. Each
+// (ctx,src,tag) so every receive is a table probe plus a FIFO pop. Each
 // inbox has exactly one consumer (its rank's goroutine), so at most one
 // receive waits on it at any time and a put can wake it with Signal.
+//
+// The bucket table is open-addressed with linear probing over a
+// power-of-two slot array, kept at most 7/8 full: the load of Go's own
+// maps, so a table costs no more memory than the map it replaced (at
+// 16384 ranks every inbox holds one). Buckets are never deleted (they
+// live as long as the inbox), so probing needs no tombstones, and the
+// table grows only with the distinct keys this inbox has seen, not with
+// the world size.
 type inbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	rank    int // world rank of the consumer (the PDES engine's proc id)
-	buckets map[bucketKey]*bucket
+	rank    int      // world rank of the consumer (the PDES engine's proc id)
+	slots   []slot   // (ctx,src,tag) -> bucket table; nil until first use
+	nkeys   int      // occupied slots
 	slab    []bucket // arena for bucket structs, amortises short-lived worlds
 	npend   int      // queued, unmatched messages across all buckets
 	aborted bool     // set by World.abortAll once the world is quiescent
+
+	// depth[i] counts deliveries that left npend in obs histogram bucket
+	// i, depthSum the depths summed: the mpi_inbox_depth histogram,
+	// tallied under mu and flushed by World.Run.
+	depth    []int64
+	depthSum int64
 
 	// waiting is the bucket the blocked receive waits on (nil: none); a
 	// waiting consumer is counted as blocked on the world's quiescence
@@ -93,7 +130,7 @@ func newInbox() *inbox {
 	return b
 }
 
-// inboxPool recycles inboxes — and the bucket maps, bucket arenas and
+// inboxPool recycles inboxes — and the bucket tables, bucket arenas and
 // queue arrays hanging off them — across world lifetimes. Building and
 // tearing down worlds is the artefact scheduler's steady state (the
 // world-churn benchmark), and the inbox graph was most of its per-world
@@ -123,7 +160,7 @@ func releaseInboxes(boxes []*inbox) {
 }
 
 // reset prepares a clean inbox for reuse, reporting false when it is not
-// reusable. The bucket map and arena are retained: their queues are
+// reusable. The bucket table and arena are retained: their queues are
 // empty (npend == 0), and keeping them is the point of the pool.
 func (b *inbox) reset() bool {
 	b.mu.Lock()
@@ -134,12 +171,26 @@ func (b *inbox) reset() bool {
 // queue returns the FIFO for k, creating it on first use. Caller holds
 // b.mu.
 func (b *inbox) queue(k bucketKey) *bucket {
-	if q := b.buckets[k]; q != nil {
-		return q
+	if len(b.slots) > 0 {
+		mask := uint64(len(b.slots) - 1)
+		for i := k.hash() & mask; ; i = (i + 1) & mask {
+			s := &b.slots[i]
+			if s.q == nil {
+				break
+			}
+			if s.k == k {
+				return s.q
+			}
+		}
 	}
-	if b.buckets == nil {
-		//lint:allow reprolint/allochot once per inbox lease; the map is retained by the inbox pool
-		b.buckets = make(map[bucketKey]*bucket, 8)
+	return b.insert(k)
+}
+
+// insert adds an empty FIFO for the absent key k, growing the table
+// first when it would pass 7/8 full. Caller holds b.mu.
+func (b *inbox) insert(k bucketKey) *bucket {
+	if 8*(b.nkeys+1) > 7*len(b.slots) {
+		b.grow()
 	}
 	if len(b.slab) == 0 {
 		//lint:allow reprolint/allochot slab refill amortises bucket allocation 16x (churn budget covers it)
@@ -147,8 +198,65 @@ func (b *inbox) queue(k bucketKey) *bucket {
 	}
 	q := &b.slab[0]
 	b.slab = b.slab[1:]
-	b.buckets[k] = q
+	b.place(k, q)
+	b.nkeys++
 	return q
+}
+
+// grow doubles the table (8 slots on first use) and re-places every key.
+// Caller holds b.mu.
+func (b *inbox) grow() {
+	old := b.slots
+	n := 2 * len(old)
+	if n == 0 {
+		n = 8
+	}
+	//lint:allow reprolint/allochot table growth doubles per distinct-key threshold; the pool retains the table
+	b.slots = make([]slot, n)
+	for _, s := range old {
+		if s.q != nil {
+			b.place(s.k, s.q)
+		}
+	}
+}
+
+// place stores (k, q) in the first free slot of k's probe sequence.
+// Caller holds b.mu.
+func (b *inbox) place(k bucketKey, q *bucket) {
+	mask := uint64(len(b.slots) - 1)
+	i := k.hash() & mask
+	for b.slots[i].q != nil {
+		i = (i + 1) & mask
+	}
+	b.slots[i] = slot{k: k, q: q}
+}
+
+// tallyDepth counts one delivery that left n messages pending. Caller
+// holds b.mu.
+func (b *inbox) tallyDepth(n int) {
+	i := obs.Bucket(int64(n))
+	if i >= len(b.depth) {
+		//lint:allow reprolint/allochot grows to the deepest bucket seen (a few words); the pool retains it
+		b.depth = append(b.depth, make([]int64, i+1-len(b.depth))...)
+	}
+	b.depth[i]++
+	b.depthSum += int64(n)
+}
+
+// flushDepth adds the depth tally into h and clears it. The sum rides on
+// the first nonzero bucket's bulk add.
+func (b *inbox) flushDepth(h *obs.Histogram) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	sum := b.depthSum
+	for i, n := range b.depth {
+		if n > 0 {
+			h.AddBucket(i, n, sum)
+			sum = 0
+			b.depth[i] = 0
+		}
+	}
+	b.depthSum = 0
 }
 
 // put enqueues a message and wakes the consumer when it waits on the
@@ -159,7 +267,7 @@ func (b *inbox) put(w *World, m *message) {
 	q := b.queue(bucketKey{ctx: m.ctx, src: m.src, tag: m.tag})
 	q.push(m)
 	b.npend++
-	w.met.inboxDepth.Observe(int64(b.npend))
+	b.tallyDepth(b.npend)
 	if b.waiting == q {
 		b.waiting = nil
 		w.exitBlocked()
@@ -234,8 +342,10 @@ func (b *inbox) match(w *World, ctx uint64, src, tag int, now float64) *message 
 func (b *inbox) pendingDebug() (counter, brute int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, q := range b.buckets {
-		brute += len(q.msgs) - q.head
+	for _, s := range b.slots {
+		if s.q != nil {
+			brute += len(s.q.msgs) - s.q.head
+		}
 	}
 	return b.npend, brute
 }

@@ -337,6 +337,7 @@ func (w *World) Run(fn func(c *Comm) error) (*Result, error) {
 		eng.Go()
 	}
 	wg.Wait()
+	w.flushMetrics(states)
 
 	w.sb.mu.Lock()
 	failed, failRank, failNode, failAt := w.sb.failed, w.sb.failRank, w.sb.failNode, w.sb.failAt

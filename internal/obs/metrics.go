@@ -9,8 +9,9 @@
 // defined here rather than on any simulator type.
 //
 // Determinism contract: metric values are int64 (counts, bytes, or
-// nanoseconds of virtual time rounded per event). Integer atomic adds
-// commute, so any metric whose per-event increments are themselves
+// nanoseconds of virtual time rounded per event). Integer sums commute,
+// whether added atomically per event or tallied locally and flushed in
+// bulk, so any metric whose per-event increments are themselves
 // deterministic yields the same totals regardless of goroutine
 // interleaving or worker count. Metrics whose increments depend on real
 // scheduling (sync.Pool reuse, queue depths, wall-clock latencies) are
@@ -64,10 +65,14 @@ func (c *Counter) Add(n int64) {
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
+// Nanos rounds a duration in seconds to integer nanoseconds: the per-event
+// rounding every seconds-valued metric applies before accumulation, so
+// sums commute and stay deterministic under concurrency.
+func Nanos(s float64) int64 { return int64(math.Round(s * 1e9)) }
+
 // AddSeconds adds a duration expressed in seconds, stored as integer
-// nanoseconds. Rounding happens per event, before accumulation, so sums
-// commute and stay deterministic under concurrency.
-func (c *Counter) AddSeconds(s float64) { c.Add(int64(math.Round(s * 1e9))) }
+// nanoseconds rounded per event (see Nanos).
+func (c *Counter) AddSeconds(s float64) { c.Add(Nanos(s)) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 {
@@ -113,22 +118,31 @@ type Histogram struct {
 	buckets [65]atomic.Int64
 }
 
+// Bucket returns the index of the histogram bucket that holds v.
+func Bucket(v int64) int {
+	if v <= 0 {
+		return 0
+	}
+	return bits.Len64(uint64(v))
+}
+
 // Observe records one value.
-func (h *Histogram) Observe(v int64) {
+func (h *Histogram) Observe(v int64) { h.AddBucket(Bucket(v), 1, v) }
+
+// AddBucket records n observations totalling sum, all in bucket i (see
+// Bucket): the bulk form of Observe for callers that tally locally and
+// flush once.
+func (h *Histogram) AddBucket(i int, n, sum int64) {
 	if h == nil {
 		return
 	}
-	h.count.Add(1)
-	h.sum.Add(v)
-	i := 0
-	if v > 0 {
-		i = bits.Len64(uint64(v))
-	}
-	h.buckets[i].Add(1)
+	h.count.Add(n)
+	h.sum.Add(sum)
+	h.buckets[i].Add(n)
 }
 
 // ObserveSeconds records a duration in seconds as integer nanoseconds.
-func (h *Histogram) ObserveSeconds(s float64) { h.Observe(int64(math.Round(s * 1e9))) }
+func (h *Histogram) ObserveSeconds(s float64) { h.Observe(Nanos(s)) }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -152,5 +153,29 @@ func TestConcurrentAddsDeterministic(t *testing.T) {
 	}
 	if h.Count() != 8000 {
 		t.Fatalf("histogram count = %d, want 8000", h.Count())
+	}
+}
+
+// TestAddBucketMatchesObserve: runs of observations tallied locally and
+// added in bulk give the snapshot that observing them one by one gives.
+func TestAddBucketMatchesObserve(t *testing.T) {
+	values := []int64{0, 1, 1, 3, 2, 8, 9, 15, 4096, 4095, -2, 1 << 40, 7, 7}
+	one, bulk := NewRegistry(), NewRegistry()
+	h1, h2 := one.Histogram("h", ""), bulk.Histogram("h", "")
+	var run, n, sum int64 = -1, 0, 0
+	for _, v := range values {
+		h1.Observe(v)
+		if i := int64(Bucket(v)); i != run {
+			if n > 0 {
+				h2.AddBucket(int(run), n, sum)
+			}
+			run, n, sum = i, 0, 0
+		}
+		n++
+		sum += v
+	}
+	h2.AddBucket(int(run), n, sum)
+	if a, b := one.Snapshot(false), bulk.Snapshot(false); !reflect.DeepEqual(a, b) {
+		t.Fatalf("bulk adds %v differ from observations %v", b, a)
 	}
 }

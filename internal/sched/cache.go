@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 )
@@ -80,7 +81,10 @@ func (c *Cache) path(k Key) string {
 
 // Get returns the cached files and recorded virtual seconds for k, or
 // ok=false on a miss. A stored entry whose full key does not match k
-// (hash collision or tampering) is treated as a miss.
+// (hash collision or tampering) is treated as a miss, and so is one that
+// Put could not have written: no files map (a missing or null "files"),
+// or virtual seconds that are negative or not finite. A hit therefore
+// always carries a non-nil file map to regenerate the artefact from.
 func (c *Cache) Get(k Key) (files map[string][]byte, virtual float64, ok bool) {
 	if c == nil {
 		return nil, 0, false
@@ -90,17 +94,28 @@ func (c *Cache) Get(k Key) (files map[string][]byte, virtual float64, ok bool) {
 		return nil, 0, false
 	}
 	var e entry
-	if err := json.Unmarshal(raw, &e); err != nil || e.Key != k {
+	if err := json.Unmarshal(raw, &e); err != nil || e.Key != k || e.Files == nil || !validVirtual(e.Virtual) {
 		return nil, 0, false
 	}
 	return e.Files, e.Virtual, true
 }
 
+// validVirtual reports whether v can be a computation's simulated seconds.
+func validVirtual(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+
 // Put stores the files produced for k along with the virtual seconds the
-// computation simulated.
+// computation simulated. A job that produced no files is stored with an
+// empty map, so it still reads back as a hit; virtual seconds that Get
+// would refuse (negative or not finite) are an error.
 func (c *Cache) Put(k Key, files map[string][]byte, virtual float64) error {
 	if c == nil {
 		return nil
+	}
+	if !validVirtual(virtual) {
+		return fmt.Errorf("sched: invalid virtual seconds %v", virtual)
+	}
+	if files == nil {
+		files = map[string][]byte{}
 	}
 	raw, err := json.Marshal(entry{Key: k, Virtual: virtual, Files: files})
 	if err != nil {
