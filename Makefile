@@ -3,7 +3,7 @@
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race fmt vet lint lint-bench lint-sarif fuzz bench bench-report bench-smoke obs-smoke pdes-smoke facility-smoke verify results loc clean
+.PHONY: all build test race fmt vet lint lint-bench lint-sarif fuzz bench bench-report bench-smoke obs-smoke facility-smoke verify results loc clean
 
 all: build
 
@@ -47,7 +47,7 @@ race:
 	$(GO) test -race ./...
 
 # Short seeded-corpus fuzz passes over the fault plane, the spot-market
-# simulator, the event engine, the facility, the cmd/inspect readers, the
+# simulator, the event queue, the facility, the cmd/inspect readers, the
 # bench-history reader and the artefact cache reader.
 # Bounded by FUZZTIME so verify stays a fixed-cost gate; raise it
 # (make fuzz FUZZTIME=5m) for a real fuzzing session.
@@ -55,7 +55,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFaultPlan -fuzztime $(FUZZTIME) ./internal/fault
 	$(GO) test -run '^$$' -fuzz FuzzSpotRun -fuzztime $(FUZZTIME) ./internal/arrive
 	$(GO) test -run '^$$' -fuzz FuzzEventQueue -fuzztime $(FUZZTIME) ./internal/pdes
-	$(GO) test -run '^$$' -fuzz FuzzEngine -fuzztime $(FUZZTIME) ./internal/pdes
 	$(GO) test -run '^$$' -fuzz FuzzWorkloadGen -fuzztime $(FUZZTIME) ./internal/facility
 	$(GO) test -run '^$$' -fuzz FuzzFacility -fuzztime $(FUZZTIME) ./internal/facility
 	$(GO) test -run '^$$' -fuzz FuzzParseSWF -fuzztime $(FUZZTIME) ./internal/facility
@@ -113,21 +112,6 @@ obs-smoke: build
 	@rm -rf .obs-smoke
 	@echo "obs-smoke: manifests valid and deterministic across -j 1 / -j 8"
 
-# Runtime-parity gate: drive the npb CLI end-to-end under the race
-# detector on both execution engines and require byte-identical stdout.
-# The parity *test* suite already cross-validates the library layer; this
-# gate covers the flag plumbing (cmd -> core -> mpi -> pdes) the tests
-# cannot see.
-pdes-smoke: build
-	@g=$$($(GO) run -race ./cmd/npb -bench cg -class A -np 4,16 -runtime goroutine); \
-	p=$$($(GO) run -race ./cmd/npb -bench cg -class A -np 4,16 -runtime pdes); \
-	if [ "$$g" != "$$p" ]; then \
-		echo "pdes-smoke: goroutine and pdes outputs differ:"; \
-		echo "--- goroutine ---"; echo "$$g"; \
-		echo "--- pdes ---"; echo "$$p"; exit 1; \
-	fi
-	@echo "pdes-smoke: cli output identical across runtimes (race-clean)"
-
 # Batch-facility gate: a small seeded facility run (broker + spot, all
 # scheduler features on) executed twice; the runs must print byte-identical
 # reports — the digest line pins every outcome — and the manifest must
@@ -151,11 +135,10 @@ facility-smoke: build
 # The full local gate: static analysis (format, vet, reprolint), build,
 # tests, race tests, a short fuzz pass, the allocation/ns-budget smoke,
 # the bench-history trend gate, the lint-latency budget, the
-# observability smoke, the runtime-parity smoke and the batch-facility
-# smoke. Mirrors what CI runs (.github/workflows/ci.yml). lint-bench
+# observability smoke and the batch-facility smoke. Mirrors what CI runs (.github/workflows/ci.yml). lint-bench
 # runs after bench-report so the trend gate judges the committed
 # history, not the point lint-bench just appended.
-verify: lint build test race fuzz bench-smoke bench-report lint-bench obs-smoke pdes-smoke facility-smoke
+verify: lint build test race fuzz bench-smoke bench-report lint-bench obs-smoke facility-smoke
 	@echo "verify: all gates passed"
 
 # Production Go line count: every non-test .go file outside layerbench/

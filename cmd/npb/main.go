@@ -41,15 +41,10 @@ func main() {
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "number of sweep jobs to run concurrently")
 	cacheDir := flag.String("cache", "", "result cache directory (empty: no cache)")
 	manifest := flag.String("manifest", "", "write a run-manifest JSON to this file")
-	runtimeName := flag.String("runtime", "", "mpi runtime: goroutine (default) or pdes")
 	sink := trace.AddFlag()
 	flag.Parse()
 	start := time.Now()
 
-	rt, err := mpi.RuntimeByName(*runtimeName)
-	if err != nil {
-		fatal(err)
-	}
 	p, err := platform.ByName(*platName)
 	if err != nil {
 		fatal(err)
@@ -97,18 +92,9 @@ func main() {
 		id := fmt.Sprintf("npb-%s-%s-%d", *bench, class, np)
 		var key *sched.Key
 		if !sink.Active() {
-			params := fmt.Sprintf("class=%s,np=%d,platform=%s", class, np, p.Name)
-			if rt != mpi.Goroutine {
-				// Both runtimes produce byte-identical artefacts (the parity
-				// suite asserts it), but cache entries stay segregated so a
-				// runtime regression can never be masked by the other
-				// engine's cached bytes. Goroutine keys keep their pre-PDES
-				// spelling.
-				params += ",runtime=" + rt.String()
-			}
 			key = &sched.Key{
 				Experiment:   "npb-" + *mode + "-" + *bench,
-				Params:       params,
+				Params:       fmt.Sprintf("class=%s,np=%d,platform=%s", class, np, p.Name),
 				Seed:         *seed,
 				ModelVersion: core.ModelVersion,
 			}
@@ -117,7 +103,7 @@ func main() {
 			ID:  id,
 			Key: key,
 			Run: func(ctx *sched.Ctx) (map[string][]byte, error) {
-				text, err := kernelRun(p, *bench, *mode, class, np, *seed, rt, ctx, sink.Tracer(np), reg)
+				text, err := kernelRun(p, *bench, *mode, class, np, *seed, ctx, sink.Tracer(np), reg)
 				if err != nil {
 					return nil, err
 				}
@@ -160,7 +146,6 @@ func main() {
 		ModelVersion: core.ModelVersion, Platform: p.Name, Seed: *seed,
 		Knobs: map[string]string{
 			"bench": *bench, "class": string(class), "np": *npList, "mode": *mode,
-			"runtime": rt.String(),
 		},
 		VirtualSeconds: virtual,
 		WallSeconds:    time.Since(start).Seconds(),
@@ -173,8 +158,8 @@ func main() {
 // kernelRun executes one (kernel, class, np) point and renders its
 // summary line(s).
 func kernelRun(p *platform.Platform, bench, mode string, class npb.Class, np int, seed uint64,
-	rt mpi.Runtime, ctx *sched.Ctx, tracer mpi.Tracer, reg *obs.Registry) (string, error) {
-	spec := core.RunSpec{Platform: p, NP: np, Seed: seed, Runtime: rt, Meter: ctx.Meter(),
+	ctx *sched.Ctx, tracer mpi.Tracer, reg *obs.Registry) (string, error) {
+	spec := core.RunSpec{Platform: p, NP: np, Seed: seed, Meter: ctx.Meter(),
 		ExtraTracer: tracer, Metrics: reg}
 	var sb strings.Builder
 	switch mode {

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/osu"
 	"repro/internal/platform"
@@ -36,15 +35,10 @@ func main() {
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "number of benchmark jobs to run concurrently")
 	cacheDir := flag.String("cache", "", "result cache directory (empty: no cache)")
 	manifest := flag.String("manifest", "", "write a run-manifest JSON to this file")
-	runtimeName := flag.String("runtime", "", "mpi runtime: goroutine (default) or pdes")
 	sink := trace.AddFlag()
 	flag.Parse()
 	start := time.Now()
 
-	rt, err := mpi.RuntimeByName(*runtimeName)
-	if err != nil {
-		fatal(err)
-	}
 	platforms, err := expandPlatforms(*platName)
 	if err != nil {
 		fatal(err)
@@ -70,15 +64,9 @@ func main() {
 			id := fmt.Sprintf("osu-%s-%s", b, p.Name)
 			var key *sched.Key
 			if !sink.Active() {
-				params := fmt.Sprintf("platform=%s,sizes=default", p.Name)
-				if rt != mpi.Goroutine {
-					// Identical bytes either way, but keep cache entries
-					// per-runtime so one engine never serves the other's.
-					params += ",runtime=" + rt.String()
-				}
 				key = &sched.Key{
 					Experiment:   "osu-" + b,
-					Params:       params,
+					Params:       fmt.Sprintf("platform=%s,sizes=default", p.Name),
 					Seed:         *seed,
 					ModelVersion: core.ModelVersion,
 				}
@@ -89,7 +77,7 @@ func main() {
 				Run: func(ctx *sched.Ctx) (map[string][]byte, error) {
 					text, err := curve(p, b, osu.Opts{
 						Seed: *seed, Tracer: sink.Tracer(2), Metrics: reg,
-						Meter: ctx.Meter(), Runtime: rt,
+						Meter: ctx.Meter(),
 					})
 					if err != nil {
 						return nil, err
@@ -131,7 +119,7 @@ func main() {
 	if err := obs.WriteManifest(*manifest, &obs.Manifest{
 		Schema: obs.ManifestSchema, Binary: "osu",
 		ModelVersion: core.ModelVersion, Platform: *platName, Seed: *seed,
-		Knobs:          map[string]string{"bench": *bench, "runtime": rt.String()},
+		Knobs:          map[string]string{"bench": *bench},
 		VirtualSeconds: virtual,
 		WallSeconds:    time.Since(start).Seconds(),
 		Metrics:        reg.Snapshot(true),

@@ -34,11 +34,11 @@ type RunSpec struct {
 	// is used by AutoNodes to find the smallest feasible node count.
 	MemPerRank int64
 	Seed       uint64 // jitter stream offset (repetition index)
-	// Runtime selects the mpi execution engine (mpi.Goroutine, the
-	// default, or mpi.PDES). Both produce byte-identical results; the
-	// PDES engine is the one that scales to 10k+ virtual ranks.
+	// Deprecated: ignored. Every world runs on mpi's one
+	// goroutine-per-rank engine; the field remains only until the
+	// benchmark harness stops setting it.
 	Runtime mpi.Runtime
-	// EngineWorkers bounds PDES engine concurrency (0 = GOMAXPROCS).
+	// Deprecated: ignored, like Runtime.
 	EngineWorkers int
 	// ExtraTracer, when set, observes events alongside the IPM profiler
 	// (e.g. a trace.Recorder exporting a Chrome timeline).
@@ -112,12 +112,6 @@ func Execute(spec RunSpec, fn func(c *mpi.Comm) error) (*Outcome, error) {
 		tracer = mpi.Tee(prof, spec.ExtraTracer)
 	}
 	opts := []mpi.Option{mpi.WithTracer(tracer), mpi.WithSeed(spec.Seed)}
-	if spec.Runtime != mpi.Goroutine {
-		opts = append(opts, mpi.WithRuntime(spec.Runtime))
-	}
-	if spec.EngineWorkers > 0 {
-		opts = append(opts, mpi.WithEngineWorkers(spec.EngineWorkers))
-	}
 	if spec.Faults != nil {
 		opts = append(opts, mpi.WithFaults(spec.Faults))
 	}

@@ -76,12 +76,6 @@ type Ctx struct {
 	// stay bit-identical to plain execution — the zero-fault identity
 	// test regenerates seed artefacts under this knob to prove it.
 	ForceResilient bool
-	// Runtime selects the mpi execution engine for every platform run
-	// (mpi.Goroutine, the default, or mpi.PDES). Artefact bytes are
-	// identical either way — the parity tests regenerate artefacts under
-	// both engines and compare — so the knob is deliberately NOT part of
-	// the scheduler cache key.
-	Runtime mpi.Runtime
 	// Metrics, when set, accumulates mpi runtime counters across every
 	// platform run of the job; the registry's stable snapshot lands in
 	// the artefact's run manifest.
@@ -184,7 +178,7 @@ func (x *Ctx) runSkeleton(name string, p *platform.Platform, np int, class npb.C
 	if err != nil {
 		return 0, err
 	}
-	spec := core.RunSpec{Platform: p, NP: np, Seed: x.Seed, Runtime: x.Runtime, Meter: x.Meter,
+	spec := core.RunSpec{Platform: p, NP: np, Seed: x.Seed, Meter: x.Meter,
 		Metrics: x.Metrics, ExtraTracer: x.tracer(np)}
 	if err := x.applyFaults(&spec, p, name, np); err != nil {
 		return 0, err
@@ -200,8 +194,7 @@ func (x *Ctx) runSkeleton(name string, p *platform.Platform, np int, class npb.C
 
 // osuOpts bundles the Ctx's seed and metrics for an OSU run.
 func (x *Ctx) osuOpts() osu.Opts {
-	return osu.Opts{Seed: x.Seed, Metrics: x.Metrics, Tracer: x.tracer(2), Meter: x.Meter,
-		Runtime: x.Runtime}
+	return osu.Opts{Seed: x.Seed, Metrics: x.Metrics, Tracer: x.tracer(2), Meter: x.Meter}
 }
 
 // bandwidthAt returns the OSU bandwidth (MB/s) at one message size.
@@ -370,7 +363,7 @@ func (x *Ctx) commAt(kernel string, p *platform.Platform, np int) (float64, erro
 	if err != nil {
 		return 0, err
 	}
-	spec := core.RunSpec{Platform: p, NP: np, Seed: x.Seed, Runtime: x.Runtime, Meter: x.Meter,
+	spec := core.RunSpec{Platform: p, NP: np, Seed: x.Seed, Meter: x.Meter,
 		Metrics: x.Metrics, ExtraTracer: x.tracer(np)}
 	if err := x.applyFaults(&spec, p, kernel, np); err != nil {
 		return 0, err
@@ -389,7 +382,7 @@ func (x *Ctx) chasteRun(p *platform.Platform, np int) (*chaste.Stats, *core.Outc
 	cfg := x.chasteConfig()
 	var stats *chaste.Stats
 	spec := core.RunSpec{
-		Platform: p, NP: np, MemPerRank: cfg.MemPerRank(np), Seed: x.Seed, Runtime: x.Runtime,
+		Platform: p, NP: np, MemPerRank: cfg.MemPerRank(np), Seed: x.Seed,
 		Meter: x.Meter, Metrics: x.Metrics, ExtraTracer: x.tracer(np),
 	}
 	if err := x.applyFaults(&spec, p, "chaste", np); err != nil {
@@ -457,7 +450,7 @@ func (x *Ctx) umRun(p *platform.Platform, np, nodes int) (*metum.Stats, *core.Ou
 	var stats *metum.Stats
 	spec := core.RunSpec{
 		Platform: p, NP: np, Nodes: nodes, MemPerRank: cfg.MemPerRank(np), Seed: x.Seed,
-		Runtime: x.Runtime, Meter: x.Meter, Metrics: x.Metrics, ExtraTracer: x.tracer(np),
+		Meter: x.Meter, Metrics: x.Metrics, ExtraTracer: x.tracer(np),
 	}
 	if err := x.applyFaults(&spec, p, "metum", np); err != nil {
 		return nil, nil, err

@@ -77,9 +77,9 @@ func (x *Ctx) facRun(sc facScenario, jobs []facility.Job, broker *facility.Broke
 // bounded-slowdown distributions, cloud offload share, interruption
 // accounting and cost-to-solution for each scheduling scenario, plus the
 // per-job win rate of brokered placement over the static baseline. The
-// broker is calibrated from real reference runs under the Ctx's engine
-// (facility.CalibrateBroker); runtime parity of those runs is what keeps
-// this table bit-identical across engines.
+// broker is calibrated from real reference runs (facility.CalibrateBroker);
+// schedule parity of those runs keeps this table bit-identical at any
+// GOMAXPROCS.
 func (x *Ctx) TableE14Facility() (*report.Table, error) {
 	nJobs, tenants, hpcSlots := x.facWorkload()
 	jobs, err := facility.Generate(facility.WorkloadSpec{
@@ -89,8 +89,7 @@ func (x *Ctx) TableE14Facility() (*report.Table, error) {
 		return nil, err
 	}
 	broker, err := facility.CalibrateBroker(facility.CalibrateOpts{
-		Seed: x.Seed, Runtime: x.Runtime,
-		Meter: x.Meter, Metrics: x.Metrics,
+		Seed: x.Seed, Meter: x.Meter, Metrics: x.Metrics,
 	})
 	if err != nil {
 		return nil, err

@@ -46,8 +46,7 @@ func (x *Ctx) fac2Ladder() []fac2Rung {
 // deterministic function of the seed.
 func (x *Ctx) TableE15FacilityScale() (*report.Table, error) {
 	broker, err := facility.CalibrateBroker(facility.CalibrateOpts{
-		Seed: x.Seed, Runtime: x.Runtime,
-		Meter: x.Meter, Metrics: x.Metrics,
+		Seed: x.Seed, Meter: x.Meter, Metrics: x.Metrics,
 	})
 	if err != nil {
 		return nil, err

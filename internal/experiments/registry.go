@@ -129,7 +129,7 @@ func Registry() []Artefact {
 				t, err := x.TableE12Faults()
 				return tableFiles("fault1_e12_resilience", t, err)
 			}},
-		{ID: "pdes1", Kind: KindFigure, Desc: "NPB class B skeletons at 1k-16k ranks (PDES engine)",
+		{ID: "pdes1", Kind: KindFigure, Desc: "NPB class B skeletons at 1k-16k ranks (scaled vayu)",
 			Gen: func(x *Ctx) (map[string][]byte, error) {
 				fig, err := x.FigE13PDESScale()
 				return figureFiles("pdes1_e13_scale", fig, err)

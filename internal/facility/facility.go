@@ -7,11 +7,11 @@
 // plane with checkpoint/restart costs charged via iomodel.
 //
 // The simulation is entirely event-driven: arrivals, completions and
-// limit kills are events on the same strict-total-order virtual-time
-// heap the PDES rank engine uses (pdes.Queue), so a facility run is a
-// pure function of (workload, config) — bit-reproducible at any host
-// parallelism, under either mpi runtime, and byte-compared against the
-// small-N oracle arrive.SimulateQueue by the cross-validation tests.
+// limit kills are events on a strict-total-order virtual-time heap
+// (pdes.Queue), so a facility run is a pure function of (workload,
+// config) — bit-reproducible at any host parallelism, and byte-compared
+// against the small-N oracle arrive.SimulateQueue by the
+// cross-validation tests.
 //
 // The scheduler keeps incremental structures — a lazily re-keyed
 // pending heap, a maintained release profile for EASY reservations, and

@@ -159,87 +159,3 @@ func TestFeatureSetMissing(t *testing.T) {
 		t.Fatalf("missing = %v", missing)
 	}
 }
-
-func TestLaunchDeterministic(t *testing.T) {
-	vayu := buildEnv(t, VayuHost(), "um-deps")
-	img := Package("img", "CentOS 5.7", vayu)
-	spec := DefaultLaunchSpec(4, img)
-	a, err := Launch(spec, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Launch(spec, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.ElapsedSecs != b.ElapsedSecs || a.FailedBoots != b.FailedBoots {
-		t.Fatal("launch not deterministic for a fixed seed")
-	}
-	if !a.Ready || a.Nodes != 4 {
-		t.Fatalf("cluster not ready: %+v", a)
-	}
-	if a.ElapsedSecs < spec.BootMeanSeconds*0.7 {
-		t.Fatalf("implausibly fast launch: %v", a.ElapsedSecs)
-	}
-}
-
-func TestLaunchObservesBootFailures(t *testing.T) {
-	vayu := buildEnv(t, VayuHost())
-	img := Package("img", "CentOS 5.7", vayu)
-	spec := DefaultLaunchSpec(8, img)
-	spec.BootFailureProb = 0.5
-	spec.MaxRetries = 10
-	failures := 0
-	for seed := uint64(0); seed < 10; seed++ {
-		res, err := Launch(spec, seed)
-		if err != nil {
-			continue
-		}
-		failures += res.FailedBoots
-	}
-	if failures == 0 {
-		t.Fatal("with 50% boot failure probability some instances must be replaced")
-	}
-}
-
-func TestLaunchGivesUpAfterRetries(t *testing.T) {
-	vayu := buildEnv(t, VayuHost())
-	img := Package("img", "CentOS 5.7", vayu)
-	spec := DefaultLaunchSpec(4, img)
-	spec.BootFailureProb = 1.0 // nothing ever boots
-	spec.MaxRetries = 2
-	if _, err := Launch(spec, 1); err == nil {
-		t.Fatal("certain boot failure should error out")
-	}
-}
-
-func TestLaunchValidation(t *testing.T) {
-	vayu := buildEnv(t, VayuHost())
-	img := Package("img", "CentOS 5.7", vayu)
-	if _, err := Launch(LaunchSpec{Nodes: 0, Image: img}, 1); err == nil {
-		t.Fatal("zero nodes should fail")
-	}
-	if _, err := Launch(LaunchSpec{Nodes: 2}, 1); err == nil {
-		t.Fatal("missing image should fail")
-	}
-}
-
-func TestLaunchScalesConfigWithNodes(t *testing.T) {
-	vayu := buildEnv(t, VayuHost())
-	img := Package("img", "CentOS 5.7", vayu)
-	small := DefaultLaunchSpec(2, img)
-	small.BootFailureProb = 0
-	big := DefaultLaunchSpec(32, img)
-	big.BootFailureProb = 0
-	a, err := Launch(small, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Launch(big, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.ElapsedSecs <= a.ElapsedSecs {
-		t.Fatalf("larger clusters should take longer to configure: %v vs %v", b.ElapsedSecs, a.ElapsedSecs)
-	}
-}

@@ -316,7 +316,7 @@ func (c *Comm) recvRaw(src, tag int) *message {
 	c.maybeDie()
 	c.checkRank(src, "source")
 	checkTag(tag)
-	m := c.st.world.inboxes[c.st.wrank].match(c.st.world, c.ctx, c.group[src], tag, c.st.clock)
+	m := c.st.world.inboxes[c.st.wrank].match(c.st.world, c.ctx, c.group[src], tag)
 	link := c.st.world.link(m.src, c.st.wrank)
 	st := c.st
 	t := &st.tally

@@ -101,7 +101,6 @@ func (q *bucket) pop() *message {
 type inbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	rank    int      // world rank of the consumer (the PDES engine's proc id)
 	slots   []slot   // (ctx,src,tag) -> bucket table; nil until first use
 	nkeys   int      // occupied slots
 	slab    []bucket // arena for bucket structs, amortises short-lived worlds
@@ -137,13 +136,11 @@ func newInbox() *inbox {
 // allocation.
 var inboxPool = sync.Pool{New: func() any { return newInbox() }}
 
-// leaseInboxes returns np pooled inboxes wired to their rank indices.
+// leaseInboxes returns np pooled inboxes, one per rank.
 func leaseInboxes(np int) []*inbox {
 	boxes := make([]*inbox, np)
 	for i := range boxes {
-		b := inboxPool.Get().(*inbox)
-		b.rank = i
-		boxes[i] = b
+		boxes[i] = inboxPool.Get().(*inbox)
 	}
 	return boxes
 }
@@ -271,22 +268,13 @@ func (b *inbox) put(w *World, m *message) {
 	if b.waiting == q {
 		b.waiting = nil
 		w.exitBlocked()
-		if eng := w.engine(); eng != nil {
-			// The consumer is (or is about to be) parked in the engine;
-			// schedule its resumption at the message's arrival time. Lock
-			// order: inbox.mu, then the engine's mutex.
-			eng.Wake(b.rank, m.arrive)
-		} else {
-			b.cond.Signal()
-		}
+		b.cond.Signal()
 	}
 	b.mu.Unlock()
 }
 
 // match blocks until a message matching (ctx, src, tag) is available,
-// removes it from its bucket and returns it. now is the receiver's
-// virtual clock at the blocking point; the PDES engine parks the rank at
-// that time (the goroutine runtime ignores it).
+// removes it from its bucket and returns it.
 //
 // A receive that can still be satisfied always proceeds; match panics
 // with abortPanic only once the world is quiescent (every live rank
@@ -297,8 +285,7 @@ func (b *inbox) put(w *World, m *message) {
 // any peer that could still send to it is runnable, so the set of
 // completed operations is the unique maximal one (the message-passing
 // program is a Kahn process network).
-func (b *inbox) match(w *World, ctx uint64, src, tag int, now float64) *message {
-	eng := w.engine()
+func (b *inbox) match(w *World, ctx uint64, src, tag int) *message {
 	k := bucketKey{ctx: ctx, src: src, tag: tag}
 	b.mu.Lock()
 	q := b.queue(k)
@@ -321,16 +308,6 @@ func (b *inbox) match(w *World, ctx uint64, src, tag int, now float64) *message 
 		if b.waiting == nil {
 			b.waiting, b.wkey = q, k
 			w.enterBlocked()
-		}
-		if eng != nil {
-			// Park in the engine with the inbox unlocked: the waking
-			// put must be able to take b.mu. A wake that lands between
-			// the unlock and the Park is absorbed by the engine's
-			// pending-wake flag, so the rank never sleeps through it.
-			b.mu.Unlock()
-			eng.Park(b.rank, now)
-			b.mu.Lock()
-			continue
 		}
 		b.cond.Wait()
 	}

@@ -585,7 +585,7 @@ func TestMisusePanicsBecomeErrors(t *testing.T) {
 	}
 }
 
-// TestDeadlockDiagnosed checks that the goroutine runtime reports a
+// TestDeadlockDiagnosed checks that the runtime reports a
 // deadlock the moment the world quiesces, naming every blocked rank and
 // the (src, tag) it waits on. The cases pin down which event completes
 // the quiescence: a rank blocking (a receive-receive cycle) or a rank

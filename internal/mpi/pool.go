@@ -176,15 +176,3 @@ func leaseScratch(n int) *[]float64 {
 }
 
 func releaseScratch(p *[]float64) { scratchPool.Put(p) }
-
-// intScratchPool recycles []int temporaries (Alltoallv displacement
-// tables).
-var intScratchPool = sync.Pool{New: func() any { return new([]int) }}
-
-func leaseIntScratch(n int) *[]int {
-	p := intScratchPool.Get().(*[]int)
-	*p = grownInt(*p, n)
-	return p
-}
-
-func releaseIntScratch(p *[]int) { intScratchPool.Put(p) }

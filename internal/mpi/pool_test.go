@@ -109,38 +109,8 @@ func exchangeDigest(t *testing.T, seed uint64, n int) (digest uint64, virtual fl
 		// Pooled collectives over the same data.
 		red := append([]float64(nil), f...)
 		c.Allreduce(Sum, red)
-		sc := append([]float64(nil), f...)
-		c.Scan(Sum, sc)
-		ex := append([]float64(nil), f...)
-		c.Exscan(Sum, ex)
-		blk := make([]float64, n)
-		rs := make([]float64, np*n)
-		for i := range rs {
-			rs[i] = f[i%n] * float64(i/n+1)
-		}
-		c.ReduceScatterBlock(Sum, rs, blk)
 		ri := append([]int(nil), is...)
 		c.AllreduceInts(Sum, ri)
-
-		// Variable all-to-all: rank r sends (d+1) elements to destination d.
-		counts := make([]int, np)
-		for d := range counts {
-			counts[d] = d + 1
-		}
-		var tot int
-		for _, k := range counts {
-			tot += k
-		}
-		sendv := make([]float64, tot)
-		for i := range sendv {
-			sendv[i] = f[i%n] + float64(r)
-		}
-		rcounts := make([]int, np)
-		for s := range rcounts {
-			rcounts[s] = r + 1
-		}
-		recvv := make([]float64, np*(r+1))
-		c.Alltoallv(sendv, counts, recvv, rcounts)
 
 		for _, v := range fr {
 			put(math.Float64bits(v))
@@ -152,10 +122,8 @@ func exchangeDigest(t *testing.T, seed uint64, n int) (digest uint64, virtual fl
 			put(math.Float64bits(real(v)))
 			put(math.Float64bits(imag(v)))
 		}
-		for _, s := range [][]float64{red, sc, ex, blk, recvv} {
-			for _, v := range s {
-				put(math.Float64bits(v))
-			}
+		for _, v := range red {
+			put(math.Float64bits(v))
 		}
 		for _, v := range ri {
 			put(uint64(v))
@@ -269,7 +237,7 @@ func TestPendingCounterConcurrent(t *testing.T) {
 		for round := 0; round < perTag; round++ {
 			for pr := 0; pr < producers; pr++ {
 				for tag := 0; tag < 2; tag++ {
-					b.match(w, 1, pr, tag, 0).release()
+					b.match(w, 1, pr, tag).release()
 					if n++; n%37 == 0 {
 						check()
 					}
@@ -278,7 +246,7 @@ func TestPendingCounterConcurrent(t *testing.T) {
 		}
 		for pr := 0; pr < producers; pr++ {
 			for i := 0; i < perTag; i++ {
-				m := b.match(w, 1, pr, 2, 0)
+				m := b.match(w, 1, pr, 2)
 				if m.src != pr || m.tag != 2 {
 					t.Errorf("drain of (src=%d, tag=2) got (src=%d, tag=%d)", pr, m.src, m.tag)
 				}
@@ -314,7 +282,7 @@ func TestPendingCounterFIFO(t *testing.T) {
 	}
 	// Exact match on src 0 must yield arrival order 0, 2, 4.
 	for _, want := range []int{0, 2, 4} {
-		m := b.match(w, 1, 0, 5, 0)
+		m := b.match(w, 1, 0, 5)
 		if m.bytes != want {
 			t.Fatalf("exact match got bytes %d, want %d", m.bytes, want)
 		}
@@ -325,7 +293,7 @@ func TestPendingCounterFIFO(t *testing.T) {
 	}
 	// Exact match on src 1 drains the rest in arrival order: 1, 3, 5.
 	for _, want := range []int{1, 3, 5} {
-		m := b.match(w, 1, 1, 5, 0)
+		m := b.match(w, 1, 1, 5)
 		if m.bytes != want {
 			t.Fatalf("exact match got bytes %d, want %d", m.bytes, want)
 		}

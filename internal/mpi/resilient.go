@@ -169,8 +169,6 @@ func (w *World) RunResilient(cfg ResilientConfig, fn func(c *Comm) error) (*Resu
 			np:         w.np,
 			tracer:     w.tracer,
 			seed:       w.seed,
-			runtime:    w.runtime,
-			engWorkers: w.engWorkers,
 			met:        w.met,
 			resil:      rs,
 			incStart:   start,

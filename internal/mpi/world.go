@@ -72,10 +72,6 @@ type World struct {
 	tracer  Tracer
 	seed    uint64
 
-	runtime    Runtime      // execution engine (Goroutine or PDES)
-	engWorkers int          // PDES concurrency bound; <= 0 = GOMAXPROCS
-	eng        atomic.Value // *pdes.Engine for the Run in flight (PDES only)
-
 	met worldMetrics // observability handles; zero value = metering off
 
 	faults     *fault.Plan // nil = no fault injection
@@ -87,9 +83,9 @@ type World struct {
 
 // scoreboard tracks how many ranks can still make progress. The world is
 // quiescent once every live rank is blocked in a receive: no message can
-// ever arrive, so no rank will ever move again. On either engine that is
-// the one point at which a run that cannot finish is stopped — as the
-// fault abort after a rank failure, or as a deadlock diagnosis otherwise.
+// ever arrive, so no rank will ever move again. That is the one point
+// at which a run that cannot finish is stopped — as the fault abort
+// after a rank failure, or as a deadlock diagnosis otherwise.
 // Stopping only there makes the set of operations each rank completed
 // the unique maximal one, which is what keeps checkpoint state
 // deterministic despite the real-time races between goroutines.
@@ -130,10 +126,9 @@ func (w *World) rankStopped() {
 	}
 }
 
-// quiesce aborts a quiescent world, reached through the scoreboard on
-// either engine and through the PDES engine's stall hook: every blocked
-// rank unwinds, and Run reports the rank failure that caused the
-// quiescence or, without one, diagnoses the deadlock. A world that is
+// quiesce aborts a quiescent world, reached through the scoreboard:
+// every blocked rank unwinds, and Run reports the rank failure that
+// caused the quiescence or, without one, diagnoses the deadlock. A world that is
 // not (or no longer) quiescent, or whose ranks have all stopped, is left
 // alone, so repeated or late calls are harmless.
 func (w *World) quiesce() {
@@ -200,11 +195,6 @@ func (w *World) abortAll() {
 		b.aborted = true
 		b.mu.Unlock()
 		b.cond.Broadcast()
-	}
-	if eng := w.engine(); eng != nil {
-		// Parked PDES ranks sleep in the engine, not on the inbox conds;
-		// requeue all of them so each re-checks its inbox and unwinds.
-		eng.WakeAll()
 	}
 }
 
@@ -298,10 +288,6 @@ func (w *World) Run(fn func(c *Comm) error) (*Result, error) {
 	}
 	w.sb.running.Store(int64(w.np))
 	w.sb.live.Store(int64(w.np))
-	if w.runtime == PDES {
-		w.startEngine()
-	}
-	eng := w.engine()
 
 	errs := make([]error, w.np)
 	var wg sync.WaitGroup
@@ -312,9 +298,6 @@ func (w *World) Run(fn func(c *Comm) error) (*Result, error) {
 			defer func() {
 				p := recover()
 				w.rankStopped()
-				if eng != nil {
-					eng.Done(rank)
-				}
 				switch p.(type) {
 				case nil:
 				case killPanic:
@@ -327,14 +310,8 @@ func (w *World) Run(fn func(c *Comm) error) (*Result, error) {
 					errs[rank] = fmt.Errorf("mpi: rank %d panicked: %v", rank, p)
 				}
 			}()
-			if eng != nil {
-				eng.Enter(rank)
-			}
 			errs[rank] = fn(&comms[rank])
 		}(r)
-	}
-	if eng != nil {
-		eng.Go()
 	}
 	wg.Wait()
 	w.flushMetrics(states)

@@ -24,8 +24,6 @@ type Opts struct {
 	Metrics *obs.Registry
 	// Meter, when set, accumulates the run's virtual wall time.
 	Meter *sim.Meter
-	// Runtime selects the mpi execution engine (default mpi.Goroutine).
-	Runtime mpi.Runtime
 }
 
 // Point is one benchmark sample.
@@ -63,9 +61,6 @@ func twoNodeWorld(p *platform.Platform, o Opts) (*mpi.World, error) {
 	}
 	if o.Metrics != nil {
 		wopts = append(wopts, mpi.WithMetrics(o.Metrics))
-	}
-	if o.Runtime != mpi.Goroutine {
-		wopts = append(wopts, mpi.WithRuntime(o.Runtime))
 	}
 	return mpi.NewWorld(p, pl, wopts...)
 }

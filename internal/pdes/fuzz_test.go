@@ -62,45 +62,3 @@ func FuzzEventQueue(f *testing.F) {
 		}
 	})
 }
-
-// decodeScripts turns fuzz bytes into rank scripts for the toy runtime.
-// Destinations are decoded mod np and self-sends/self-receives are
-// redirected, so every input is a valid (if possibly deadlocking or
-// dying) program.
-func decodeScripts(data []byte, np int) [][]toyOp {
-	scripts := make([][]toyOp, np)
-	for i := 0; i+2 < len(data); i += 3 {
-		rank := int(data[i]) % np
-		kind := toyOpKind(data[i+1] % 4)
-		dst := int(data[i+2]) % np
-		if dst == rank {
-			dst = (dst + 1) % np
-		}
-		op := toyOp{Kind: kind, Dst: dst, Dt: float64(data[i+2]%8) * 0.25}
-		scripts[rank] = append(scripts[rank], op)
-	}
-	return scripts
-}
-
-// FuzzEngine runs arbitrary toy programs — including ones that deadlock
-// or kill ranks mid-script — under the engine at one worker and at four,
-// and requires that (a) both terminate (stall detection must catch every
-// quiescent state, or wg.Wait would hang the fuzzer) and (b) final
-// clocks and per-rank progress are identical: the KPN determinism
-// promise under adversarial schedules and failures.
-func FuzzEngine(f *testing.F) {
-	// A clean ring, a deadlock, an early death, and tie-heavy traffic.
-	f.Add([]byte{0, 1, 1, 1, 2, 0, 2, 1, 3, 3, 2, 0})
-	f.Add([]byte{0, 2, 1, 1, 2, 0})
-	f.Add([]byte{0, 3, 0, 1, 2, 0, 2, 1, 3})
-	f.Add([]byte{0, 1, 1, 1, 1, 2, 2, 1, 3, 3, 1, 0, 0, 2, 3, 3, 2, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		const np = 4
-		scripts := decodeScripts(data, np)
-		ref := runToy(scripts, 1)
-		got := runToy(scripts, 4)
-		if !sameResult(ref, got) {
-			t.Fatalf("workers=1 vs 4 diverged on %x:\n ref %+v\n got %+v", data, ref, got)
-		}
-	})
-}

@@ -1,27 +1,18 @@
-// Package pdes provides the conservative parallel-discrete-event engine
-// behind the mpi package's event-driven runtime. The simulated ranks of a
-// world are coroutines multiplexed over a small, bounded set of OS
-// threads; a deterministic event queue decides which parked rank resumes
-// next, ordered by virtual time with (rank, seq) tie-breaking so the
-// resume sequence — and therefore every observable result — is identical
-// at any worker count.
+// Package pdes provides the deterministic event queue of the repository's
+// discrete-event simulations. The batch facility (package facility)
+// drives its arrivals, completions and spot interruptions through it.
 //
-// The engine is conservative in the Kahn-process-network sense: a rank is
-// resumed only when the input it blocked on actually exists (or the world
-// is being aborted), so no speculative execution and no rollback ever
-// happen. Virtual timestamps are data computed by the rank programs
-// themselves; the queue uses them as a scheduling priority, not as a
-// global-clock barrier, which is sound because the mpi layer's receives
-// block on explicit (source, tag) channels whose contents do not depend
-// on execution order.
+// The queue is a binary min-heap of Events ordered by virtual time, then
+// by an integer id (Rank), then by a creation stamp (Seq), so the order is
+// total and every drain is a deterministic function of what was pushed,
+// never of wall-clock scheduling.
 package pdes
 
-// Event schedules the resumption of one rank. Time is the virtual time
-// the rank becomes runnable (the maximum of its clock when it parked and
-// the arrival time of the input that woke it); Rank identifies the
-// coroutine; Seq is an engine-issued creation stamp that makes the order
-// total. All three components are deterministic functions of the
-// simulated program, never of wall-clock scheduling.
+// Event is one scheduled occurrence. Time is its virtual time; Rank is a
+// caller-defined integer id that breaks time ties (the facility stores
+// the event kind there); Seq is a creation stamp, unique per queue, that
+// makes the order total. All three components must be deterministic
+// functions of the simulated program, never of wall-clock scheduling.
 type Event struct {
 	Time float64
 	Rank int
@@ -42,8 +33,7 @@ func (e Event) Less(o Event) bool {
 }
 
 // Queue is a binary min-heap of events under Event.Less. The zero value
-// is an empty queue ready for use. It is not synchronised; the Engine
-// serialises access under its own mutex.
+// is an empty queue ready for use. It is not synchronised.
 type Queue struct {
 	h []Event
 }

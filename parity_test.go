@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -20,23 +21,41 @@ import (
 	"repro/internal/sim"
 )
 
-// Oracle parity suite: the goroutine runtime is the correctness oracle
-// for the PDES engine. Every workload family runs under three engine
-// configurations — goroutine, PDES at the default worker count, and PDES
-// serialised to one worker — and must produce bit-identical virtual
+// Schedule parity suite: every workload family runs under two Go
+// scheduler configurations — the default GOMAXPROCS, where rank
+// goroutines really run in parallel, and GOMAXPROCS(1), where they
+// interleave on one thread — and must produce bit-identical virtual
 // results: rank clocks, IPM accounting, benchmark points, artefact
-// bytes. Any divergence means the event engine changed what the
-// simulation computes, not just how fast it computes it.
+// bytes. Any divergence means the real-time interleaving of ranks leaked
+// into what the simulation computes. The committed artefact bytes
+// (internal/experiments' golden tests) are the independent oracle.
 
-// engines lists the configurations every parity test sweeps.
-var engines = []struct {
-	name    string
-	rt      mpi.Runtime
-	workers int
+// schedules lists the GOMAXPROCS settings every parity test sweeps;
+// procs 0 keeps the process default.
+var schedules = []struct {
+	name  string
+	procs int
 }{
-	{"goroutine", mpi.Goroutine, 0},
-	{"pdes", mpi.PDES, 0},
-	{"pdes-w1", mpi.PDES, 1},
+	{"default", 0},
+	{"procs1", 1},
+}
+
+// eachSchedule calls fn once under every schedule, with GOMAXPROCS set
+// for the call. The process setting is restored on return and, should
+// fn fail the test, by its cleanup.
+func eachSchedule(t *testing.T, fn func(sched string)) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	for _, s := range schedules {
+		procs := prev
+		if s.procs > 0 {
+			procs = s.procs
+		}
+		runtime.GOMAXPROCS(procs)
+		fn(s.name)
+	}
+	runtime.GOMAXPROCS(prev)
 }
 
 // sameSeries fails the test unless a and b are bit-identical.
@@ -93,20 +112,18 @@ func TestParityNPBSkeletons(t *testing.T) {
 				continue
 			}
 			var ref *core.Outcome
-			for _, eng := range engines {
-				out, err := core.Execute(core.RunSpec{
-					Platform: platform.Vayu(), NP: np,
-					Runtime: eng.rt, EngineWorkers: eng.workers,
-				}, func(c *mpi.Comm) error { return fn(c, class) })
+			eachSchedule(t, func(sched string) {
+				out, err := core.Execute(core.RunSpec{Platform: platform.Vayu(), NP: np},
+					func(c *mpi.Comm) error { return fn(c, class) })
 				if err != nil {
-					t.Fatalf("%s.%s.%d under %s: %v", kernel, class, np, eng.name, err)
+					t.Fatalf("%s.%s.%d under %s: %v", kernel, class, np, sched, err)
 				}
 				if ref == nil {
 					ref = out
-					continue
+					return
 				}
-				sameOutcome(t, fmt.Sprintf("%s.%s.%d %s", kernel, class, np, eng.name), ref, out)
-			}
+				sameOutcome(t, fmt.Sprintf("%s.%s.%d %s", kernel, class, np, sched), ref, out)
+			})
 		}
 	}
 }
@@ -118,32 +135,28 @@ func TestParityOSU(t *testing.T) {
 	for _, p := range platform.All() {
 		for _, bench := range []string{"bw", "latency"} {
 			var ref []osu.Point
-			for _, eng := range engines {
-				if eng.rt == mpi.PDES && eng.workers == 1 {
-					continue // 2-rank worlds: pdes default already covers w=1 vs w=n
-				}
-				o := osu.Opts{Runtime: eng.rt}
+			eachSchedule(t, func(sched string) {
 				var pts []osu.Point
 				var err error
 				if bench == "bw" {
-					pts, err = osu.BandwidthOpts(p, sizes, o)
+					pts, err = osu.BandwidthOpts(p, sizes, osu.Opts{})
 				} else {
-					pts, err = osu.LatencyOpts(p, sizes, o)
+					pts, err = osu.LatencyOpts(p, sizes, osu.Opts{})
 				}
 				if err != nil {
-					t.Fatalf("osu %s on %s under %s: %v", bench, p.Name, eng.name, err)
+					t.Fatalf("osu %s on %s under %s: %v", bench, p.Name, sched, err)
 				}
 				if ref == nil {
 					ref = pts
-					continue
+					return
 				}
 				for i := range ref {
 					if math.Float64bits(ref[i].Value) != math.Float64bits(pts[i].Value) {
 						t.Fatalf("osu %s on %s under %s at %d bytes: %v vs %v",
-							bench, p.Name, eng.name, ref[i].Bytes, ref[i].Value, pts[i].Value)
+							bench, p.Name, sched, ref[i].Bytes, ref[i].Value, pts[i].Value)
 					}
 				}
-			}
+			})
 		}
 	}
 }
@@ -151,7 +164,7 @@ func TestParityOSU(t *testing.T) {
 // TestParityMetUMResilient cross-validates the MetUM proxy under a
 // firing fault plan with checkpoint/restart: the whole fault plane —
 // kills, scoreboard aborts, incarnation worlds — must behave identically
-// on both engines.
+// under both schedules.
 func TestParityMetUMResilient(t *testing.T) {
 	np := 16
 	plan, err := fault.Generate(fault.Spec{MTBF: 150, Horizon: 2000}, "ec2", "parity", np, 4, 7)
@@ -159,32 +172,30 @@ func TestParityMetUMResilient(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ref *core.Outcome
-	for _, eng := range engines {
+	eachSchedule(t, func(sched string) {
 		out, err := core.Execute(core.RunSpec{
-			Platform: platform.EC2(), NP: np,
-			Runtime: eng.rt, EngineWorkers: eng.workers,
-			Faults: plan, Resilient: true,
+			Platform: platform.EC2(), NP: np, Faults: plan, Resilient: true,
 		}, metumSmokeJob())
 		if err != nil {
-			t.Fatalf("metum resilient under %s: %v", eng.name, err)
+			t.Fatalf("metum resilient under %s: %v", sched, err)
 		}
 		if out.Resilience == nil || out.Resilience.Restarts == 0 {
-			t.Fatalf("metum resilient under %s: plan did not fire (stats %+v)", eng.name, out.Resilience)
+			t.Fatalf("metum resilient under %s: plan did not fire (stats %+v)", sched, out.Resilience)
 		}
 		if ref == nil {
 			ref = out
-			continue
+			return
 		}
-		sameOutcome(t, "metum resilient "+eng.name, ref, out)
+		sameOutcome(t, "metum resilient "+sched, ref, out)
 		if fmt.Sprintf("%+v", ref.Resilience) != fmt.Sprintf("%+v", out.Resilience) {
-			t.Fatalf("metum resilient %s: stats %+v vs %+v", eng.name, ref.Resilience, out.Resilience)
+			t.Fatalf("metum resilient %s: stats %+v vs %+v", sched, ref.Resilience, out.Resilience)
 		}
-	}
+	})
 }
 
 // TestParityFaultFailFast cross-validates the non-resilient fault path:
 // a plan that kills a rank must fail the run with the same RankFailedError
-// on both engines.
+// under both schedules.
 func TestParityFaultFailFast(t *testing.T) {
 	np := 16
 	fn, err := suite.Skeleton("cg")
@@ -196,31 +207,27 @@ func TestParityFaultFailFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ref *mpi.RankFailedError
-	for _, eng := range engines {
-		_, err := core.Execute(core.RunSpec{
-			Platform: platform.DCC(), NP: np,
-			Runtime: eng.rt, EngineWorkers: eng.workers, Faults: plan,
-		}, func(c *mpi.Comm) error { return fn(c, npb.ClassA) })
+	eachSchedule(t, func(sched string) {
+		_, err := core.Execute(core.RunSpec{Platform: platform.DCC(), NP: np, Faults: plan},
+			func(c *mpi.Comm) error { return fn(c, npb.ClassA) })
 		var rf *mpi.RankFailedError
 		if !errors.As(err, &rf) {
-			t.Fatalf("under %s: want RankFailedError, got %v", eng.name, err)
+			t.Fatalf("under %s: want RankFailedError, got %v", sched, err)
 		}
 		if ref == nil {
 			ref = rf
-			continue
+			return
 		}
 		if ref.Rank != rf.Rank || ref.Node != rf.Node ||
 			math.Float64bits(ref.At) != math.Float64bits(rf.At) {
-			t.Fatalf("under %s: failure %+v vs oracle %+v", eng.name, rf, ref)
+			t.Fatalf("under %s: failure %+v vs reference %+v", sched, rf, ref)
 		}
-	}
+	})
 }
 
 // TestParityArtefactBytes regenerates smoke-sweep artefacts under both
-// engines and compares the generated bytes — the figure/table/manifest
-// files users actually consume. pdes1 is included: at the smoke sweep its
-// rank counts are small enough for the goroutine oracle to replay the
-// PDES engine's own scaling artefact.
+// schedules and compares the generated bytes — the figure/table/manifest
+// files users actually consume.
 func TestParityArtefactBytes(t *testing.T) {
 	ids := []string{"fig4", "table2", "pdes1", "fac1", "fac2"}
 	if raceEnabled {
@@ -232,33 +239,32 @@ func TestParityArtefactBytes(t *testing.T) {
 	}
 	for _, a := range arts {
 		var ref map[string][]byte
-		for _, eng := range engines {
-			x := &experiments.Ctx{Sweep: experiments.SweepSmoke, Runtime: eng.rt}
-			files, err := a.Gen(x)
+		eachSchedule(t, func(sched string) {
+			files, err := a.Gen(&experiments.Ctx{Sweep: experiments.SweepSmoke})
 			if err != nil {
-				t.Fatalf("artefact %s under %s: %v", a.ID, eng.name, err)
+				t.Fatalf("artefact %s under %s: %v", a.ID, sched, err)
 			}
 			if ref == nil {
 				ref = files
-				continue
+				return
 			}
 			if len(files) != len(ref) {
-				t.Fatalf("artefact %s under %s: %d files vs %d", a.ID, eng.name, len(files), len(ref))
+				t.Fatalf("artefact %s under %s: %d files vs %d", a.ID, sched, len(files), len(ref))
 			}
 			for name, data := range files {
 				if string(data) != string(ref[name]) {
-					t.Fatalf("artefact %s under %s: %s diverged from the oracle's bytes",
-						a.ID, eng.name, name)
+					t.Fatalf("artefact %s under %s: %s diverged from the reference bytes",
+						a.ID, sched, name)
 				}
 			}
-		}
+		})
 	}
 }
 
 // TestParityFacility cross-validates the batch facility's job-execution
 // leg: broker calibration is built from real core.Execute reference runs,
 // so the calibrated factors — and every facility decision downstream of
-// them — must be bit-identical whichever engine performed those runs.
+// them — must be bit-identical under either schedule.
 // (The heap-vs-sort scheduler comparison of the same calibrated schedule
 // is internal/facility's TestSchedParityCalibratedBroker.)
 func TestParityFacility(t *testing.T) {
@@ -270,12 +276,10 @@ func TestParityFacility(t *testing.T) {
 	}
 	var refBroker *facility.Broker
 	var refDigest string
-	for _, eng := range engines {
-		broker, err := facility.CalibrateBroker(facility.CalibrateOpts{
-			Runtime: eng.rt, EngineWorkers: eng.workers,
-		})
+	eachSchedule(t, func(sched string) {
+		broker, err := facility.CalibrateBroker(facility.CalibrateOpts{})
 		if err != nil {
-			t.Fatalf("calibration under %s: %v", eng.name, err)
+			t.Fatalf("calibration under %s: %v", sched, err)
 		}
 		f, err := facility.New(facility.Config{
 			Slots:     [facility.NumPools]int{64, 32, 32},
@@ -289,36 +293,36 @@ func TestParityFacility(t *testing.T) {
 		}
 		res, err := f.Run(jobs)
 		if err != nil {
-			t.Fatalf("facility under %s: %v", eng.name, err)
+			t.Fatalf("facility under %s: %v", sched, err)
 		}
 		digest := facility.Digest(res)
 		if refDigest == "" {
 			refBroker, refDigest = broker, digest
-			continue
+			return
 		}
 		if digest != refDigest {
-			t.Fatalf("facility digest under %s diverged from the reference engine's schedule", eng.name)
+			t.Fatalf("facility digest under %s diverged from the reference schedule's", sched)
 		}
 		for _, class := range facility.CalibratedClasses() {
 			a, b := refBroker.Factors[class], broker.Factors[class]
 			for p := range a {
 				if math.Float64bits(a[p]) != math.Float64bits(b[p]) {
 					t.Fatalf("class %s factor on %s under %s: %v vs reference %v",
-						class, facility.Pool(p), eng.name, b[p], a[p])
+						class, facility.Pool(p), sched, b[p], a[p])
 				}
 			}
 		}
-	}
+	})
 }
 
-// TestDeadlockDiagnosis checks that every engine detects a deadlocked
-// world the moment it quiesces and reports the same diagnosis — the
-// blocked ranks and the (src, tag) each waits on — with no wall-clock
-// watchdog involved.
+// TestDeadlockDiagnosis checks that a deadlocked world is detected the
+// moment it quiesces, under either schedule, and reports the same
+// diagnosis — the blocked ranks and the (src, tag) each waits on — with
+// no wall-clock watchdog involved.
 func TestDeadlockDiagnosis(t *testing.T) {
 	const want = "mpi: deadlock: 2 rank(s) blocked with no runnable peer:" +
 		" rank 0 waiting on (src=3, tag=99) rank 2 waiting on (src=1, tag=5)"
-	for _, eng := range engines {
+	eachSchedule(t, func(sched string) {
 		start := time.Now()
 		_, err := mpi.RunOn(platform.Vayu(), 4, func(c *mpi.Comm) error {
 			switch c.Rank() {
@@ -328,21 +332,20 @@ func TestDeadlockDiagnosis(t *testing.T) {
 				c.Recv(1, 5, make([]float64, 1))
 			}
 			return nil
-		}, mpi.WithRuntime(eng.rt), mpi.WithEngineWorkers(eng.workers))
+		})
 		if elapsed := time.Since(start); elapsed > time.Second {
-			t.Fatalf("%s: diagnosis took %v", eng.name, elapsed)
+			t.Fatalf("%s: diagnosis took %v", sched, elapsed)
 		}
 		if err == nil || err.Error() != want {
-			t.Fatalf("%s: got %v, want %q", eng.name, err, want)
+			t.Fatalf("%s: got %v, want %q", sched, err, want)
 		}
-	}
+	})
 }
 
-// TestPDESClassB16kRanks is the scale acceptance check: the PDES engine
-// completes a 16384-rank class-B EP skeleton world — beyond any stock
-// platform's slot count — in ordinary test time. The instrumented run
-// scales down but stays above the oracle's practical range.
-func TestPDESClassB16kRanks(t *testing.T) {
+// TestClassB16kRanks is the scale acceptance check: a 16384-rank class-B
+// EP skeleton world — beyond any stock platform's slot count — completes
+// in ordinary test time. The instrumented run scales down to 2048 ranks.
+func TestClassB16kRanks(t *testing.T) {
 	np := 16384
 	if raceEnabled {
 		np = 2048
@@ -352,7 +355,7 @@ func TestPDESClassB16kRanks(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := platform.Scaled(platform.Vayu(), np)
-	out, err := core.Execute(core.RunSpec{Platform: p, NP: np, Runtime: mpi.PDES},
+	out, err := core.Execute(core.RunSpec{Platform: p, NP: np},
 		func(c *mpi.Comm) error { return fn(c, npb.ClassB) })
 	if err != nil {
 		t.Fatal(err)
